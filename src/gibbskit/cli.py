@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import checks, kinematics, notation
 from .dyadics import Tensor3, render_matrix, transpose
-from .fields import FieldSpecError, PolyField, grad_alt, grad_gibbs, load_field
+from .fields import FieldSpecError, PolyField, _check_fd_step, grad_alt, grad_gibbs, load_field
 from .ga import Multivector, Vec3, render_multivector
 
 EXIT_OK = 0
@@ -77,6 +77,15 @@ def _parse_bind(raw: str) -> tuple[str, Vec3]:
     return name, Vec3(*nums)
 
 
+def _fd_step(raw: str) -> float:
+    try:
+        step = float(raw)
+        _check_fd_step(step)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
+    return step
+
+
 def _add_common(p: argparse.ArgumentParser, *, needs_field: bool) -> None:
     p.add_argument("--field", dest="field_path", required=needs_field, metavar="PATH",
                    help="field-spec JSON file")
@@ -85,7 +94,7 @@ def _add_common(p: argparse.ArgumentParser, *, needs_field: bool) -> None:
     p.add_argument("--bind", action="append", default=[], metavar="NAME=X,Y,Z",
                    help="bind a constant vector (repeatable)")
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--fd-step", type=float, default=None, metavar="H",
+    p.add_argument("--fd-step", type=_fd_step, default=None, metavar="H",
                    help="step for numerical gradients (default 1e-5)")
 
 

@@ -14,7 +14,9 @@ transposed layout, entry (i, j) = dv_i/dx_j, is ``grad_alt``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 from .dyadics import Tensor3, trace, transpose
@@ -40,6 +42,13 @@ DEFAULT_FD_STEP = 1e-5
 
 Powers = tuple[int, int, int]
 
+_UNIT: tuple[Powers, Powers, Powers] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _check_axis(axis) -> None:
+    if isinstance(axis, bool) or not isinstance(axis, int) or axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+
 
 @dataclass(frozen=True)
 class Poly:
@@ -47,7 +56,8 @@ class Poly:
 
     ``terms`` maps each exponent triple to its coefficient; no triple
     repeats, zero coefficients are dropped, and the triples are sorted, so
-    equal polynomials compare equal.
+    equal polynomials compare equal.  The constructor validates and
+    canonicalises; ``_trusted`` wraps terms that are already canonical.
     """
 
     terms: tuple[tuple[Powers, float], ...]
@@ -55,12 +65,19 @@ class Poly:
     def __post_init__(self) -> None:
         merged: dict[Powers, float] = {}
         for powers, coeff in self.terms:
-            p = tuple(int(e) for e in powers)
-            if len(p) != 3 or any(e < 0 for e in p):
+            p = tuple(powers)
+            # type(e) is int also refuses bools and floats such as 1.5.
+            if len(p) != 3 or not all(type(e) is int and e >= 0 for e in p):
                 raise ValueError(f"monomial powers must be 3 non-negative ints: {powers!r}")
             merged[p] = merged.get(p, 0.0) + float(coeff)
         canon = tuple(sorted((p, c) for p, c in merged.items() if c != 0.0))
         object.__setattr__(self, "terms", canon)
+
+    @classmethod
+    def _trusted(cls, terms: tuple[tuple[Powers, float], ...]) -> "Poly":
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @staticmethod
     def zero() -> "Poly":
@@ -77,19 +94,23 @@ class Poly:
         return total
 
     def diff(self, axis: int) -> "Poly":
-        """Partial derivative along axis 0, 1 or 2 (x, y, z)."""
-        if axis not in (0, 1, 2):
-            raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+        """Partial derivative along axis 0, 1 or 2 (x, y, z).
+
+        Lowering the same exponent of every surviving term keeps distinct
+        triples distinct and in sorted order, and ``coeff * e`` is non-zero
+        for e >= 1, so the result is already canonical and skips the
+        validating constructor.
+        """
+        _check_axis(axis)
+        ux, uy, uz = _UNIT[axis]
         out = []
         for powers, coeff in self.terms:
             e = powers[axis]
             if e == 0:
                 continue
-            reduced = tuple(
-                pe - 1 if k == axis else pe for k, pe in enumerate(powers)
-            )
-            out.append((reduced, coeff * e))
-        return Poly(tuple(out))
+            px, py, pz = powers
+            out.append(((px - ux, py - uy, pz - uz), coeff * e))
+        return Poly._trusted(tuple(out))
 
     def grad_at(self, p: Vec3) -> Vec3:
         return Vec3(*(self.diff(axis).eval(p) for axis in range(3)))
@@ -108,7 +129,11 @@ class Poly:
 
 @dataclass(frozen=True)
 class PolyField:
-    """Vector field with polynomial components; derivatives are exact."""
+    """Vector field with polynomial components; derivatives are exact.
+
+    The three partial fields are computed on first use and kept in a
+    write-once memo that takes no part in ``==`` or ``hash``.
+    """
 
     components: tuple[Poly, Poly, Poly]
 
@@ -121,9 +146,16 @@ class PolyField:
 
     __call__ = eval
 
+    @cached_property
+    def _partials(self) -> tuple["PolyField", "PolyField", "PolyField"]:
+        return tuple(
+            PolyField(tuple(c.diff(axis) for c in self.components)) for axis in range(3)
+        )
+
     def partial(self, axis: int) -> "PolyField":
         """The field d v / d x_axis; polynomial fields are closed under this."""
-        return PolyField(tuple(c.diff(axis) for c in self.components))
+        _check_axis(axis)
+        return self._partials[axis]
 
     def dotted(self, c: Vec3) -> Poly:
         """Scalar polynomial c . v for a constant vector c."""
@@ -146,8 +178,7 @@ class BlackBoxField:
     step: float = DEFAULT_FD_STEP
 
     def __post_init__(self) -> None:
-        if not self.step > 0.0:
-            raise ValueError(f"finite-difference step must be > 0, got {self.step}")
+        _check_fd_step(self.step)
 
     def eval(self, x: Vec3) -> Vec3:
         return self.evaluator(x)
@@ -156,6 +187,12 @@ class BlackBoxField:
 
 
 Field = Union[PolyField, BlackBoxField]
+
+
+def _check_fd_step(step: float) -> None:
+    """Raise ValueError unless ``step`` is a finite number > 0."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
 
 
 def fd_grad(f, x: Vec3, step: float | None = None) -> Tensor3:

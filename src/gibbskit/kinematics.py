@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ga
-from .dyadics import Tensor3, antisym, postfactor, prefactor, sym, transpose
-from .fields import Field, divergence, grad_gibbs, grad_alt, partial_vectors
+from .dyadics import Tensor3, antisym, postfactor, prefactor, sym, trace, transpose
+from .fields import Field, grad_gibbs, grad_alt, partial_vectors
 from .ga import Multivector, Vec3
 
 __all__ = [
@@ -58,7 +58,12 @@ def dv_prefactor(f: Field, x: Vec3, dr: Vec3) -> Vec3:
 
 def nabla_wedge(f: Field, x: Vec3) -> Multivector:
     """The bivector nabla ^ v = sum_{i<j} (d_i v_j - d_j v_i) e_ij."""
-    g = grad_gibbs(f, x).rows
+    return _wedge_of(grad_gibbs(f, x))
+
+
+def _wedge_of(grad: Tensor3) -> Multivector:
+    """nabla ^ v from the gradient G (entry (i, j) = dv_j/dx_i)."""
+    g = grad.rows
     return Multivector(
         (
             0.0,
@@ -90,10 +95,12 @@ def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
     with geometric-algebra products as sum_i e_i . (dx ^ d_i v); the two
     parts always add back to dv_postfactor.
     """
-    compressive = divergence(f, x) * dx
+    g = grad_gibbs(f, x)
+    compressive = trace(g) * dx
     dxm = Multivector.from_vec3(dx)
     acc = Multivector.zero()
-    for i, dv_i in enumerate(partial_vectors(f, x), start=1):
+    for i in (1, 2, 3):
+        dv_i = g.row(i)
         e_i = Multivector.basis_vector(i)
         acc = acc + ga.dot(e_i, ga.wedge(dxm, Multivector.from_vec3(dv_i)))
     return compressive, ga.vector_part(acc)
@@ -157,7 +164,7 @@ def report(f: Field, x: Vec3) -> KinematicsReport:
     g = grad_gibbs(f, x)
     d = sym(g)
     omega = antisym(g)
-    nw = nabla_wedge(f, x)
+    nw = _wedge_of(g)
     return KinematicsReport(
         point=x,
         grad_gibbs=g,
@@ -166,5 +173,5 @@ def report(f: Field, x: Vec3) -> KinematicsReport:
         omega=omega,
         omega_bivector=0.5 * nw,
         vorticity=ga.vector_dual(nw),
-        divergence=divergence(f, x),
+        divergence=trace(g),
     )

@@ -24,13 +24,16 @@ Applying `∇` directly to a parenthesized scalar expression, as in
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Mapping, Union
 
 from . import ga
-from .dyadics import Tensor3, dyad, max_abs, postfactor, prefactor, transpose
-from .fields import Field, grad_gibbs, grad_alt, divergence
+from .dyadics import (
+    Tensor3, antisym, dyad, max_abs, postfactor, prefactor, sym, trace, transpose,
+)
+from .fields import Field, _check_fd_step, grad_gibbs
 from .ga import Multivector, Vec3
-from .kinematics import decompose, nabla_wedge, vorticity
+from .kinematics import _wedge_of
 
 __all__ = [
     "NotationError",
@@ -398,13 +401,22 @@ class EvalContext:
     ``d`` and ``Omega`` (alias ``Ω``) resolve to the strain and rotation
     tensors of the field at the point unless shadowed by a binding.
     ``fd_step`` controls the fallback numerical gradient used when ∇ is
-    applied to a general scalar subexpression.
+    applied to a general scalar subexpression; it must be finite and > 0.
+    The gradient G at the point is computed once per context, on first
+    use, and every derivative form derives from it.
     """
 
     field: Field
     point: Vec3
     bindings: Mapping[str, Vec3] = dc_field(default_factory=dict)
     fd_step: float = 1e-5
+
+    def __post_init__(self) -> None:
+        _check_fd_step(self.fd_step)
+
+    @cached_property
+    def _grad(self) -> Tensor3:
+        return grad_gibbs(self.field, self.point)
 
 
 def _resolve(name: str, pos: int, ctx: EvalContext) -> Value:
@@ -413,8 +425,7 @@ def _resolve(name: str, pos: int, ctx: EvalContext) -> Value:
     if name in ctx.bindings:
         return ctx.bindings[name]
     if name in DERIVED_TENSORS:
-        d, omega = decompose(ctx.field, ctx.point)
-        return d if name == "d" else omega
+        return sym(ctx._grad) if name == "d" else antisym(ctx._grad)
     raise BindingError(f"unbound name {name!r}", pos)
 
 
@@ -424,13 +435,13 @@ def _eval_nabla_op(op: str, right: Expr, ctx: EvalContext, pos: int) -> Value:
             f"∇ {OP_SYMBOL[op]} ... can only differentiate the field {FIELD_NAME!r}", pos
         )
     if op == DYAD:
-        return grad_gibbs(ctx.field, ctx.point)
+        return ctx._grad
     if op == DOT:
-        return divergence(ctx.field, ctx.point)
+        return trace(ctx._grad)
     if op == WEDGE:
-        return nabla_wedge(ctx.field, ctx.point)
+        return _wedge_of(ctx._grad)
     if op == CROSS:
-        return vorticity(ctx.field, ctx.point)
+        return ga.vector_dual(_wedge_of(ctx._grad))
     raise EvalError(f"∇ cannot be combined with {OP_SYMBOL[op]!r}", pos)
 
 
@@ -442,7 +453,7 @@ def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
         if len(names) == 2 and FIELD_NAME in names:
             other = names[0] if names[1] == FIELD_NAME else names[1]
             if other != FIELD_NAME and other in ctx.bindings:
-                return prefactor(grad_gibbs(ctx.field, ctx.point), ctx.bindings[other])
+                return prefactor(ctx._grad, ctx.bindings[other])
     # General scalar subexpression: central differences over the point.
     val = evaluate(inner, ctx)
     if value_kind(val) != "scalar":
@@ -559,7 +570,7 @@ def audit_convention(t: Tensor3, f: Field, x: Vec3, rel_tol: float = 1e-9) -> Au
     layouts coincide and t matches both.
     """
     g = grad_gibbs(f, x)
-    a = grad_alt(f, x)
+    a = transpose(g)
     dev_g = max_abs(t - g)
     dev_a = max_abs(t - a)
     tol = rel_tol * max(1.0, max_abs(g), max_abs(t))

@@ -115,6 +115,37 @@ def test_eval_fd_step_flag():
     assert out.strip() == "(2, 2, 2)"
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-400", "h"])
+def test_eval_fd_step_rejects_non_positive_or_non_finite(step):
+    code, out, err = run_cli(
+        [
+            "eval",
+            "--field", str(FIELDS / "dilation.json"),
+            "--point", "1", "1", "1",
+            "--fd-step", step,
+            "∇(2 * (v · v))",
+        ]
+    )
+    assert code == 1
+    assert out == ""
+    assert "--fd-step" in err and repr(step) in err
+
+
+def test_module_fd_step_zero_is_one_line_exit_1():
+    res = run_module(
+        [
+            "eval",
+            "--field", str(FIELDS / "dilation.json"),
+            "--point", "1", "1", "1",
+            "--fd-step", "0",
+            "∇(2 * (v · v))",
+        ]
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+
+
 def test_kinematics_golden_fixtures():
     golden = {
         "golden_rotation.json": ["--field", str(FIELDS / "rotation.json"), "--point", "1", "0", "0"],
