@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from . import ga
@@ -25,19 +24,21 @@ from .dyadics import (
     transpose,
 )
 from .fields import Poly, PolyField, fd_grad, grad_alt, grad_gibbs, divergence
-from .ga import Multivector, Vec3
+from .ga import Multivector, Vec3, _Value
 from . import kinematics as kin
 from . import notation
 
 __all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    cases: int
-    detail: str
+class CheckResult(_Value):
+    __match_args__ = ("name", "passed", "cases", "detail")
+
+    def __init__(self, name: str, passed: bool, cases: int, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "detail", detail)
 
 
 # ---------------------------------------------------------------------------

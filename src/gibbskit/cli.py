@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field as dc_field
 
-from . import checks, kinematics, notation
-from .dyadics import Tensor3, render_matrix, transpose
-from .fields import FieldSpecError, PolyField, _check_fd_step, grad_alt, grad_gibbs, load_field
-from .ga import Multivector, Vec3, render_multivector
+from . import kinematics, notation
+from .dyadics import Tensor3, antisym, render_matrix, transpose
+from .fields import FieldSpecError, PolyField, grad_gibbs, load_field
+from .ga import Vec3, render_multivector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,17 +44,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(f"{self.prog}: {message}", EXIT_CONFIG)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    field_path: str | None = None
-    point: Vec3 = Vec3(0.0, 0.0, 0.0)
-    bindings: dict = dc_field(default_factory=dict)
-    expression: str | None = None
-    script: str | None = None
-    output: str = "text"
-    fd_step: float | None = None
-    seed: int = 0
+def __getattr__(name: str):
+    # ``checks`` is imported on first use, so that the other commands do
+    # not pay for it; ``cli.checks`` still resolves.
+    if name == "checks":
+        from . import checks
+
+        return checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(v: float) -> str:
@@ -65,34 +62,38 @@ def _fmt_vec(v: Vec3) -> str:
     return f"({_fmt(v.x)}, {_fmt(v.y)}, {_fmt(v.z)})"
 
 
-def _parse_bind(raw: str) -> tuple[str, Vec3]:
-    name, sep, rest = raw.partition("=")
-    parts = rest.split(",")
-    if not sep or not name or len(parts) != 3:
-        raise _CliError(f"--bind expects name=x,y,z, got {raw!r}", EXIT_CONFIG)
+def _finite_float(raw: str, positive: bool = False) -> float:
+    """argparse type: a finite number, and > 0 when ``positive``."""
     try:
-        nums = [float(p) for p in parts]
+        value = float(raw)
     except ValueError:
-        raise _CliError(f"--bind {raw!r}: components must be numbers", EXIT_CONFIG)
-    return name, Vec3(*nums)
+        value = math.nan
+    if not math.isfinite(value) or (positive and not value > 0.0):
+        rule = "a finite number > 0" if positive else "a finite number"
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {raw!r}")
+    return value
 
 
 def _fd_step(raw: str) -> float:
-    try:
-        step = float(raw)
-        _check_fd_step(step)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
-    return step
+    return _finite_float(raw, positive=True)
+
+
+def _binding(raw: str) -> tuple[str, Vec3]:
+    """argparse type for --bind: ``name=x,y,z`` with finite components."""
+    name, sep, rest = raw.partition("=")
+    parts = rest.split(",")
+    if not sep or not name or len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expects name=x,y,z, got {raw!r}")
+    return name, Vec3(*(_finite_float(p) for p in parts))
 
 
 def _add_common(p: argparse.ArgumentParser, *, needs_field: bool) -> None:
     p.add_argument("--field", dest="field_path", required=needs_field, metavar="PATH",
                    help="field-spec JSON file")
-    p.add_argument("--point", nargs=3, type=float, metavar=("X", "Y", "Z"),
+    p.add_argument("--point", nargs=3, type=_finite_float, metavar=("X", "Y", "Z"),
                    help="evaluation point")
-    p.add_argument("--bind", action="append", default=[], metavar="NAME=X,Y,Z",
-                   help="bind a constant vector (repeatable)")
+    p.add_argument("--bind", action="append", type=_binding, default=[],
+                   metavar="NAME=X,Y,Z", help="bind a constant vector (repeatable)")
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.add_argument("--fd-step", type=_fd_step, default=None, metavar="H",
                    help="step for numerical gradients (default 1e-5)")
@@ -120,32 +121,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    bindings = dict(_parse_bind(b) for b in getattr(args, "bind", []))
-    point = Vec3(*args.point) if getattr(args, "point", None) else Vec3(0.0, 0.0, 0.0)
-    if args.command == "kinematics" and getattr(args, "point", None) is None:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Apply the rules that span several arguments; returns ``args``."""
+    if args.command == "kinematics" and args.point is None:
         raise _CliError("kinematics requires --point", EXIT_CONFIG)
-    if args.command == "eval":
-        if (args.expression is None) == (args.script is None):
-            raise _CliError("eval needs an expression or --script (not both)", EXIT_CONFIG)
-    return RunConfig(
-        command=args.command,
-        field_path=getattr(args, "field_path", None),
-        point=point,
-        bindings=bindings,
-        expression=getattr(args, "expression", None),
-        script=getattr(args, "script", None),
-        output=args.output,
-        fd_step=getattr(args, "fd_step", None),
-        seed=getattr(args, "seed", 0),
-    )
+    if args.command == "eval" and (args.expression is None) == (args.script is None):
+        raise _CliError("eval needs an expression or --script (not both)", EXIT_CONFIG)
+    return args
 
 
-def _load_field(cfg: RunConfig) -> PolyField:
+def _point(args: argparse.Namespace) -> Vec3:
+    return Vec3(*args.point) if args.point is not None else Vec3(0.0, 0.0, 0.0)
+
+
+def _load_field(args: argparse.Namespace) -> PolyField:
     try:
-        return load_field(cfg.field_path)
+        return load_field(args.field_path)
     except FieldSpecError as exc:
-        raise _CliError(f"{cfg.field_path}: {exc}", EXIT_FIELD_SPEC)
+        raise _CliError(f"{args.field_path}: {exc}", EXIT_FIELD_SPEC)
     except OSError as exc:
         raise _CliError(f"cannot read field file: {exc}", EXIT_CONFIG)
 
@@ -174,28 +167,28 @@ def _value_to_text(val: notation.Value) -> str:
     return render_multivector(val, fmt=_fmt)
 
 
-def _run_eval(cfg: RunConfig, out) -> int:
-    f = _load_field(cfg)
-    step = cfg.fd_step if cfg.fd_step is not None else 1e-5
-    ctx = notation.EvalContext(f, cfg.point, cfg.bindings, fd_step=step)
-    if cfg.script is not None:
+def _run_eval(args: argparse.Namespace, out) -> int:
+    f = _load_field(args)
+    step = args.fd_step if args.fd_step is not None else 1e-5
+    ctx = notation.EvalContext(f, _point(args), dict(args.bind), fd_step=step)
+    if args.script is not None:
         try:
-            with open(cfg.script, "r", encoding="utf-8") as fh:
+            with open(args.script, "r", encoding="utf-8") as fh:
                 sources = [line.strip() for line in fh if line.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _CliError(f"cannot read script: {exc}", EXIT_CONFIG)
     else:
-        sources = [cfg.expression]
+        sources = [args.expression]
     try:
         values = [notation.evaluate(notation.parse(src), ctx) for src in sources]
     except notation.NotationError as exc:
         raise _CliError(f"expression error: {exc}", EXIT_EXPRESSION)
-    if cfg.output == "json":
+    if args.output == "json":
         results = [
             {"expression": src, **_value_to_json(val)}
             for src, val in zip(sources, values)
         ]
-        out.write(json.dumps(results[0] if cfg.script is None else results, indent=2))
+        out.write(json.dumps(results[0] if args.script is None else results, indent=2))
         out.write("\n")
     else:
         for val in values:
@@ -203,10 +196,10 @@ def _run_eval(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _run_kinematics(cfg: RunConfig, out) -> int:
-    f = _load_field(cfg)
-    rep = kinematics.report(f, cfg.point)
-    if cfg.output == "json":
+def _run_kinematics(args: argparse.Namespace, out) -> int:
+    f = _load_field(args)
+    rep = kinematics.report(f, _point(args))
+    if args.output == "json":
         out.write(json.dumps(rep.to_dict(), indent=2) + "\n")
         return EXIT_OK
     out.write(f"point: {_fmt_vec(rep.point)}\n")
@@ -230,14 +223,15 @@ def _side_by_side(left: Tensor3, right: Tensor3) -> str:
     return "\n".join(f"{a}    |{b}" for a, b in zip(lt, rt))
 
 
-def _run_conventions(cfg: RunConfig, out) -> int:
-    f = _load_field(cfg)
-    g = grad_gibbs(f, cfg.point)
-    a = grad_alt(f, cfg.point)
-    _, omega = kinematics.decompose(f, cfg.point)
-    if cfg.output == "json":
+def _run_conventions(args: argparse.Namespace, out) -> int:
+    f = _load_field(args)
+    point = _point(args)
+    g = grad_gibbs(f, point)
+    a = transpose(g)
+    omega = antisym(g)
+    if args.output == "json":
         payload = {
-            "point": list(cfg.point.as_tuple()),
+            "point": list(point.as_tuple()),
             "grad_gibbs": g.to_lists(),
             "grad_alt": a.to_lists(),
             "difference": (g - a).to_lists(),
@@ -246,7 +240,7 @@ def _run_conventions(cfg: RunConfig, out) -> int:
         }
         out.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
-    out.write(f"point: {_fmt_vec(cfg.point)}\n")
+    out.write(f"point: {_fmt_vec(point)}\n")
     out.write(f"gradient, postfactor layout:\n{render_matrix(g)}\n")
     out.write(f"gradient, alternative (transposed) layout:\n{render_matrix(a)}\n")
     out.write(f"difference:\n{render_matrix(g - a)}\n")
@@ -255,12 +249,14 @@ def _run_conventions(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _run_check(cfg: RunConfig, out) -> int:
-    results = checks.run_all(cfg.seed)
+def _run_check(args: argparse.Namespace, out) -> int:
+    from . import checks
+
+    results = checks.run_all(args.seed)
     failed = sum(1 for r in results if not r.passed)
-    if cfg.output == "json":
+    if args.output == "json":
         payload = {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "passed": len(results) - failed,
             "failed": failed,
             "checks": [
@@ -274,30 +270,28 @@ def _run_check(cfg: RunConfig, out) -> int:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             out.write(f"{status}  {r.name:<{width}}  ({r.cases} cases; {r.detail})\n")
-        out.write(f"check: {len(results) - failed} passed, {failed} failed (seed {cfg.seed})\n")
+        out.write(f"check: {len(results) - failed} passed, {failed} failed (seed {args.seed})\n")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-def run(cfg: RunConfig, out=None) -> int:
-    """Execute a RunConfig; returns the exit status."""
+def run(args: argparse.Namespace, out=None) -> int:
+    """Execute a parsed command line; returns the exit status."""
     out = out if out is not None else sys.stdout
-    if cfg.command == "eval":
-        return _run_eval(cfg, out)
-    if cfg.command == "kinematics":
-        return _run_kinematics(cfg, out)
-    if cfg.command == "conventions":
-        return _run_conventions(cfg, out)
-    if cfg.command == "check":
-        return _run_check(cfg, out)
-    raise _CliError(f"unknown command {cfg.command!r}", EXIT_CONFIG)
+    if args.command == "eval":
+        return _run_eval(args, out)
+    if args.command == "kinematics":
+        return _run_kinematics(args, out)
+    if args.command == "conventions":
+        return _run_conventions(args, out)
+    if args.command == "check":
+        return _run_check(args, out)
+    raise _CliError(f"unknown command {args.command!r}", EXIT_CONFIG)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return run(cfg)
+        return run(_config_from_args(parser.parse_args(argv)))
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -8,9 +8,7 @@ it acts on vectors either as a postfactor (c . T) or as a prefactor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ga import Vec3
+from .ga import Vec3, _Value
 
 __all__ = [
     "Tensor3",
@@ -34,18 +32,15 @@ Rows = tuple[
 ]
 
 
-@dataclass(frozen=True)
-class Tensor3:
+class Tensor3(_Value):
     """3x3 tensor in the nonion basis; immutable."""
 
-    rows: Rows
+    __match_args__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+    def __init__(self, rows: Rows) -> None:
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Tensor3 needs 3 rows of 3 entries")
-        object.__setattr__(
-            self, "rows", tuple(tuple(float(v) for v in r) for r in self.rows)
-        )
+        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in rows))
 
     def entry(self, i: int, j: int) -> float:
         """T_ij with 1-based indices."""

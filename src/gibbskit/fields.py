@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
 
 from .dyadics import Tensor3, trace, transpose
-from .ga import Vec3
+from .ga import Vec3, _Value
 
 __all__ = [
     "Poly",
@@ -50,8 +49,7 @@ def _check_axis(axis) -> None:
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Value):
     """Polynomial in x, y, z as a canonical, merged monomial list.
 
     ``terms`` maps each exponent triple to its coefficient; no triple
@@ -60,7 +58,13 @@ class Poly:
     canonicalises; ``_trusted`` wraps terms that are already canonical.
     """
 
-    terms: tuple[tuple[Powers, float], ...]
+    __match_args__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Powers, float], ...]) -> None:
+        object.__setattr__(self, "terms", terms)
+        # A method of its own, so that perfbench/tracer.py can count
+        # constructions by wrapping it.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         merged: dict[Powers, float] = {}
@@ -127,19 +131,19 @@ class Poly:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class PolyField:
+class PolyField(_Value):
     """Vector field with polynomial components; derivatives are exact.
 
     The three partial fields are computed on first use and kept in a
-    write-once memo that takes no part in ``==`` or ``hash``.
+    write-once memo that takes no part in ``==``, ``hash`` or ``repr``.
     """
 
-    components: tuple[Poly, Poly, Poly]
+    __match_args__ = ("components",)
 
-    def __post_init__(self) -> None:
-        if len(self.components) != 3:
+    def __init__(self, components: tuple[Poly, Poly, Poly]) -> None:
+        if len(components) != 3:
             raise ValueError("PolyField needs exactly 3 components")
+        object.__setattr__(self, "components", components)
 
     def eval(self, x: Vec3) -> Vec3:
         return Vec3(*(c.eval(x) for c in self.components))
@@ -166,19 +170,19 @@ class PolyField:
         return acc
 
 
-@dataclass(frozen=True)
-class BlackBoxField:
+class BlackBoxField(_Value):
     """Opaque field; derivatives use central differences with ``step``.
 
     The evaluator must be deterministic and side-effect-free while a
     derivative is being computed (it is called at perturbed points).
     """
 
-    evaluator: Callable[[Vec3], Vec3]
-    step: float = DEFAULT_FD_STEP
+    __match_args__ = ("evaluator", "step")
 
-    def __post_init__(self) -> None:
-        _check_fd_step(self.step)
+    def __init__(self, evaluator: Callable[[Vec3], Vec3], step: float = DEFAULT_FD_STEP) -> None:
+        _check_fd_step(step)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "step", step)
 
     def eval(self, x: Vec3) -> Vec3:
         return self.evaluator(x)
@@ -258,6 +262,8 @@ def _parse_monomial(obj, pointer: str) -> tuple[Powers, float]:
     coeff = obj["coeff"]
     if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
         raise FieldSpecError("coeff must be a number", f"{pointer}/coeff")
+    if not math.isfinite(coeff):
+        raise FieldSpecError("coeff must be finite", f"{pointer}/coeff")
     powers = obj["powers"]
     if not isinstance(powers, list) or len(powers) != 3:
         raise FieldSpecError("powers must be a list of 3 integers", f"{pointer}/powers")
@@ -296,11 +302,19 @@ def field_from_dict(obj) -> PolyField:
     return PolyField(tuple(polys))
 
 
+def _reject_constant(name: str):
+    raise FieldSpecError(f"not valid JSON: {name} is not a JSON number", "")
+
+
 def load_field(path: str) -> PolyField:
-    """Read a field-spec JSON file; schema problems raise FieldSpecError."""
+    """Read a field-spec JSON file; schema problems raise FieldSpecError.
+
+    ``NaN``, ``Infinity`` and ``-Infinity``, which Python's decoder accepts
+    but RFC 8259 does not, are refused like any other JSON syntax error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            obj = json.load(fh, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FieldSpecError(f"not valid JSON: {exc}", "") from exc
     return field_from_dict(obj)

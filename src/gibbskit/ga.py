@@ -11,7 +11,7 @@ over immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "Vec3",
@@ -56,18 +56,51 @@ _PRODUCT = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Vec3:
+class _Value:
+    """Base of gibbskit's immutable values.
+
+    A subclass names its fields, in constructor order, in ``__match_args__``
+    and sets them in ``__init__`` through ``object.__setattr__``.  ``==`` and
+    ``hash`` use the fields named in ``_compared`` (all of them unless the
+    subclass sets it), and ``==`` only holds between instances of the same
+    class; ``repr`` shows every field.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        compared = getattr(cls, "_compared", cls.__match_args__)
+        cls._key = staticmethod(attrgetter(*compared) if compared else lambda obj: ())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vec3(_Value):
     """Point or vector in R^3."""
 
-    x: float
-    y: float
-    z: float
+    __match_args__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+    def __init__(self, x: float, y: float, z: float) -> None:
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
+        object.__setattr__(self, "z", float(z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -107,11 +140,18 @@ class Vec3:
         return Vec3(*(1.0 if k == i else 0.0 for k in (1, 2, 3)))
 
 
-@dataclass(frozen=True)
-class Multivector:
+class Multivector(_Value):
     """Element of G(R^3): coefficients over {1, e1, e2, e3, e12, e13, e23, e123}."""
 
-    coeffs: tuple[float, float, float, float, float, float, float, float]
+    __match_args__ = ("coeffs",)
+
+    def __init__(
+        self, coeffs: tuple[float, float, float, float, float, float, float, float]
+    ) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        # A method of its own, so that perfbench/tracer.py can count
+        # constructions by wrapping it.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         c = tuple(float(v) for v in self.coeffs)

@@ -14,12 +14,10 @@ prefactor to keep the same sense of rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ga
 from .dyadics import Tensor3, antisym, postfactor, prefactor, sym, trace, transpose
 from .fields import Field, grad_gibbs, grad_alt, partial_vectors
-from .ga import Multivector, Vec3
+from .ga import Multivector, Vec3, _Value
 
 __all__ = [
     "KinematicsReport",
@@ -131,18 +129,30 @@ def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
     return ga.vector_part(ga.grade(acc, 1))
 
 
-@dataclass(frozen=True)
-class KinematicsReport:
+class KinematicsReport(_Value):
     """Every derived quantity at one point, mutually consistent."""
 
-    point: Vec3
-    grad_gibbs: Tensor3
-    grad_alt: Tensor3
-    d: Tensor3
-    omega: Tensor3
-    omega_bivector: Multivector
-    vorticity: Vec3
-    divergence: float
+    __match_args__ = (
+        "point", "grad_gibbs", "grad_alt", "d", "omega", "omega_bivector",
+        "vorticity", "divergence",
+    )
+
+    def __init__(
+        self,
+        point: Vec3,
+        grad_gibbs: Tensor3,
+        grad_alt: Tensor3,
+        d: Tensor3,
+        omega: Tensor3,
+        omega_bivector: Multivector,
+        vorticity: Vec3,
+        divergence: float,
+    ) -> None:
+        for name, value in zip(
+            self.__match_args__,
+            (point, grad_gibbs, grad_alt, d, omega, omega_bivector, vorticity, divergence),
+        ):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; matrices render row-major array-of-arrays."""

@@ -23,7 +23,6 @@ Applying `∇` directly to a parenthesized scalar expression, as in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Mapping, Union
 
@@ -32,7 +31,7 @@ from .dyadics import (
     Tensor3, antisym, dyad, max_abs, postfactor, prefactor, sym, trace, transpose,
 )
 from .fields import Field, _check_fd_step, grad_gibbs
-from .ga import Multivector, Vec3
+from .ga import Multivector, Vec3, _Value
 from .kinematics import _wedge_of
 
 __all__ = [
@@ -116,11 +115,13 @@ _KEYWORD_KINDS = {"grad": NABLA, "cross": CROSS}
 OP_SYMBOL = {DYAD: "⊗", DOT: "·", WEDGE: "∧", CROSS: "×", STAR: "*", PLUS: "+", MINUS: "-"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int  # byte offset into the UTF-8 encoding of the source
+class Token(_Value):
+    __match_args__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)  # byte offset into the UTF-8 source
 
 
 def tokenize(src: str) -> list[Token]:
@@ -198,39 +199,55 @@ def tokenize(src: str) -> list[Token]:
 
 
 # AST nodes.  Positions are carried for error reporting but excluded from
-# equality so render/parse round-trips compare equal.
+# equality and hashing so render/parse round-trips compare equal.
 
 
-@dataclass(frozen=True)
-class Nabla:
-    pos: int = dc_field(default=0, compare=False)
+class Nabla(_Value):
+    __match_args__ = ("pos",)
+    _compared = ()
+
+    def __init__(self, pos: int = 0) -> None:
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class VectorRef:
-    name: str
-    pos: int = dc_field(default=0, compare=False)
+class VectorRef(_Value):
+    __match_args__ = ("name", "pos")
+    _compared = ("name",)
+
+    def __init__(self, name: str, pos: int = 0) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ScalarLit:
-    value: float
-    pos: int = dc_field(default=0, compare=False)
+class ScalarLit(_Value):
+    __match_args__ = ("value", "pos")
+    _compared = ("value",)
+
+    def __init__(self, value: float, pos: int = 0) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "transpose" | "neg"
-    operand: "Expr"
-    pos: int = dc_field(default=0, compare=False)
+class Unary(_Value):
+    __match_args__ = ("op", "operand", "pos")
+    _compared = ("op", "operand")
+
+    def __init__(self, op: str, operand: "Expr", pos: int = 0) -> None:
+        object.__setattr__(self, "op", op)  # "transpose" | "neg"
+        object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # dyad | dot | wedge | cross | star | plus | minus | apply
-    left: "Expr"
-    right: "Expr"
-    pos: int = dc_field(default=0, compare=False)
+class Binary(_Value):
+    __match_args__ = ("op", "left", "right", "pos")
+    _compared = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr", pos: int = 0) -> None:
+        # op: dyad | dot | wedge | cross | star | plus | minus | apply
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "pos", pos)
 
 
 Expr = Union[Nabla, VectorRef, ScalarLit, Unary, Binary]
@@ -394,8 +411,7 @@ def value_kind(v: Value) -> str:
     return "scalar"
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(_Value):
     """Field bound to the name ``v``, the evaluation point, extra vectors.
 
     ``d`` and ``Omega`` (alias ``Ω``) resolve to the strain and rotation
@@ -403,16 +419,24 @@ class EvalContext:
     ``fd_step`` controls the fallback numerical gradient used when ∇ is
     applied to a general scalar subexpression; it must be finite and > 0.
     The gradient G at the point is computed once per context, on first
-    use, and every derivative form derives from it.
+    use, and every derivative form derives from it.  ``bindings`` defaults
+    to a fresh empty dict; a context holding a dict is not hashable.
     """
 
-    field: Field
-    point: Vec3
-    bindings: Mapping[str, Vec3] = dc_field(default_factory=dict)
-    fd_step: float = 1e-5
+    __match_args__ = ("field", "point", "bindings", "fd_step")
 
-    def __post_init__(self) -> None:
-        _check_fd_step(self.fd_step)
+    def __init__(
+        self,
+        field: Field,
+        point: Vec3,
+        bindings: Mapping[str, Vec3] | None = None,
+        fd_step: float = 1e-5,
+    ) -> None:
+        _check_fd_step(fd_step)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "bindings", {} if bindings is None else bindings)
+        object.__setattr__(self, "fd_step", fd_step)
 
     @cached_property
     def _grad(self) -> Tensor3:
@@ -547,13 +571,18 @@ def _as_mv(v: Value) -> Multivector:
     return Multivector.from_vec3(v) if isinstance(v, Vec3) else v
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(_Value):
     """Which gradient layout a matrix follows for a given field and point."""
 
-    verdict: str  # gibbs | alternative | symmetric-ambiguous | neither
-    max_abs_deviation_gibbs: float
-    max_abs_deviation_alt: float
+    __match_args__ = ("verdict", "max_abs_deviation_gibbs", "max_abs_deviation_alt")
+
+    def __init__(
+        self, verdict: str, max_abs_deviation_gibbs: float, max_abs_deviation_alt: float
+    ) -> None:
+        # verdict: gibbs | alternative | symmetric-ambiguous | neither
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "max_abs_deviation_gibbs", max_abs_deviation_gibbs)
+        object.__setattr__(self, "max_abs_deviation_alt", max_abs_deviation_alt)
 
     def to_dict(self) -> dict:
         return {

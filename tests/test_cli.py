@@ -291,3 +291,125 @@ def test_module_determinism():
 def test_module_usage_error_exit_1():
     res = run_module(["kinematics"])
     assert res.returncode == 1
+
+
+# --- conventions: one G per call ---------------------------------------------------
+
+
+def test_conventions_computes_g_once(monkeypatch):
+    from gibbskit import fields, kinematics
+
+    calls = []
+    original = fields.grad_gibbs
+
+    def counting(f, x):
+        calls.append(x)
+        return original(f, x)
+
+    for module in (fields, kinematics, cli):
+        monkeypatch.setattr(module, "grad_gibbs", counting)
+    for output in ("text", "json"):
+        calls.clear()
+        code, _, _ = run_cli(
+            [
+                "conventions",
+                "--field", str(FIELDS / "rotation.json"),
+                "--point", "1", "-2", "0.5",
+                "--output", output,
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["shear", "rotation", "dilation"])
+def test_conventions_agrees_with_kinematics(name):
+    args = ["--field", str(FIELDS / f"{name}.json"), "--point", "1", "-2", "0.5", "--output", "json"]
+    _, con, _ = run_cli(["conventions", *args])
+    _, kin, _ = run_cli(["kinematics", *args])
+    con, kin = json.loads(con), json.loads(kin)
+    assert con["grad_gibbs"] == kin["grad_gibbs"]
+    assert con["grad_alt"] == kin["grad_alt"]
+    assert con["omega_postfactor"] == kin["omega"]
+    assert con["omega_prefactor"] == [list(col) for col in zip(*kin["omega"])]
+
+
+# --- unreadable and non-finite input ------------------------------------------------
+
+
+def test_module_non_utf8_script_is_one_line_exit_1(tmp_path):
+    script = tmp_path / "s.txt"
+    script.write_bytes(b"\xff v\n")
+    res = run_module(
+        ["eval", "--field", str(FIELDS / "shear.json"), "--script", str(script)]
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+    assert "cannot read script" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--point", "nan", "0", "0"],
+        ["--point", "0", "inf", "0"],
+        ["--bind", "dr=0,-inf,0"],
+        ["--point", "0", "0", "1e999"],
+        ["--bind", "dr=nan,0,0"],
+        ["--bind", "dr=0,0,Infinity"],
+    ],
+)
+def test_non_finite_point_or_bind_exit_1(flags):
+    code, out, err = run_cli(
+        ["eval", "--field", str(FIELDS / "shear.json"), *flags, "--output", "json", "dr"]
+    )
+    assert code == 1
+    assert out == ""
+    assert flags[0] in err and "finite" in err
+
+
+def test_module_nan_point_is_one_line_exit_1():
+    res = run_module(
+        [
+            "kinematics",
+            "--field", str(FIELDS / "shear.json"),
+            "--point", "nan", "0", "0",
+            "--output", "json",
+        ]
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "coeff, where",
+    [
+        ("NaN", "NaN"),
+        ("Infinity", "Infinity"),
+        ("-Infinity", "-Infinity"),
+        ("1e999", "/components/0/0/coeff"),
+        ("-1e999", "/components/0/0/coeff"),
+    ],
+)
+def test_non_finite_field_file_exit_2(tmp_path, coeff, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"type": "polynomial", "components": '
+        f'[[{{"coeff": {coeff}, "powers": [0, 0, 0]}}], [], []]}}'
+    )
+    code, out, err = run_cli(
+        ["kinematics", "--field", str(bad), "--point", "0", "0", "0", "--output", "json"]
+    )
+    assert code == 2
+    assert out == ""
+    assert where in err
+
+
+def test_non_utf8_field_file_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"type": "polynomial\xff"}')
+    code, out, err = run_cli(["kinematics", "--field", str(bad), "--point", "0", "0", "0"])
+    assert code == 2
+    assert out == "" and "not valid JSON" in err

@@ -48,3 +48,14 @@ def test_eval_context_rejects_bad_fd_step(step):
 def test_black_box_field_shares_the_step_rule(step):
     with pytest.raises(ValueError, match="finite-difference step"):
         BlackBoxField(lambda x: x, step=step)
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+def test_field_from_dict_rejects_non_finite_coeffs(coeff):
+    spec = {
+        "type": "polynomial",
+        "components": [[], [{"coeff": 1.0, "powers": [0, 0, 0]}, {"coeff": coeff, "powers": [1, 0, 0]}], []],
+    }
+    with pytest.raises(ValueError) as info:
+        field_from_dict(spec)
+    assert info.value.pointer == "/components/1/1/coeff"
