@@ -9,7 +9,10 @@ Four commands share one flag vocabulary:
 
 Exit codes: 0 success, 1 malformed invocation, 2 field-spec schema
 violation, 3 expression parse/eval error, 4 invariant-suite failure.
-Output is deterministic for a fixed invocation (including --seed).
+Exit 1 also covers a result that cannot be computed or written: a power
+that overflows while the field is evaluated, or a non-finite value asked
+for as JSON, which RFC 8259 cannot represent.  Output is deterministic
+for a fixed invocation (including --seed).
 """
 
 from __future__ import annotations
@@ -37,7 +40,30 @@ class _CliError(Exception):
         self.code = code
 
 
+class _FloatMatcher:
+    """Stands in for argparse's negative-number pattern: any ``float()`` form.
+
+    argparse reads an argument that starts with ``-`` as a value only if its
+    ``_negative_number_matcher`` (the same on Python 3.10-3.13) matches, and
+    that pattern knows ``-12`` and ``-1.5`` but not ``-2e-3``, so
+    ``--point 0 -2e-3 0`` would take ``-2e-3`` for an option.  No option
+    here looks like a number.
+    """
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatMatcher
+
     # argparse exits with 2 on usage errors; the schema-violation code
     # is reserved for field files, so remap usage problems to 1.
     def error(self, message: str):
@@ -143,6 +169,15 @@ def _load_field(args: argparse.Namespace) -> PolyField:
         raise _CliError(f"cannot read field file: {exc}", EXIT_CONFIG)
 
 
+def _write_json(out, payload) -> None:
+    """Write ``payload`` as strict RFC 8259 JSON, or nothing if it cannot be."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise _CliError(f"cannot write JSON: a result is not finite ({exc})", EXIT_CONFIG)
+    out.write(text + "\n")
+
+
 def _value_to_json(val: notation.Value):
     kind = notation.value_kind(val)
     if kind == "scalar":
@@ -188,8 +223,7 @@ def _run_eval(args: argparse.Namespace, out) -> int:
             {"expression": src, **_value_to_json(val)}
             for src, val in zip(sources, values)
         ]
-        out.write(json.dumps(results[0] if args.script is None else results, indent=2))
-        out.write("\n")
+        _write_json(out, results[0] if args.script is None else results)
     else:
         for val in values:
             out.write(_value_to_text(val) + "\n")
@@ -200,7 +234,7 @@ def _run_kinematics(args: argparse.Namespace, out) -> int:
     f = _load_field(args)
     rep = kinematics.report(f, _point(args))
     if args.output == "json":
-        out.write(json.dumps(rep.to_dict(), indent=2) + "\n")
+        _write_json(out, rep.to_dict())
         return EXIT_OK
     out.write(f"point: {_fmt_vec(rep.point)}\n")
     sections = (
@@ -238,7 +272,7 @@ def _run_conventions(args: argparse.Namespace, out) -> int:
             "omega_postfactor": omega.to_lists(),
             "omega_prefactor": transpose(omega).to_lists(),
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(out, payload)
         return EXIT_OK
     out.write(f"point: {_fmt_vec(point)}\n")
     out.write(f"gradient, postfactor layout:\n{render_matrix(g)}\n")
@@ -264,7 +298,7 @@ def _run_check(args: argparse.Namespace, out) -> int:
                 for r in results
             ],
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(out, payload)
     else:
         width = max(len(r.name) for r in results)
         for r in results:
@@ -277,12 +311,15 @@ def _run_check(args: argparse.Namespace, out) -> int:
 def run(args: argparse.Namespace, out=None) -> int:
     """Execute a parsed command line; returns the exit status."""
     out = out if out is not None else sys.stdout
-    if args.command == "eval":
-        return _run_eval(args, out)
-    if args.command == "kinematics":
-        return _run_kinematics(args, out)
-    if args.command == "conventions":
-        return _run_conventions(args, out)
+    try:
+        if args.command == "eval":
+            return _run_eval(args, out)
+        if args.command == "kinematics":
+            return _run_kinematics(args, out)
+        if args.command == "conventions":
+            return _run_conventions(args, out)
+    except OverflowError as exc:
+        raise _CliError(f"numeric overflow while evaluating the field: {exc}", EXIT_CONFIG)
     if args.command == "check":
         return _run_check(args, out)
     raise _CliError(f"unknown command {args.command!r}", EXIT_CONFIG)

@@ -38,9 +38,11 @@ class Tensor3(_Value):
     __match_args__ = ("rows",)
 
     def __init__(self, rows: Rows) -> None:
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        r0, r1, r2 = rows if len(rows) == 3 else ((), (), ())
+        if len(r0) != 3 or len(r1) != 3 or len(r2) != 3:
             raise ValueError("Tensor3 needs 3 rows of 3 entries")
-        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in rows))
+        rows = (tuple(map(float, r0)), tuple(map(float, r1)), tuple(map(float, r2)))
+        self.__dict__["rows"] = rows
 
     def entry(self, i: int, j: int) -> float:
         """T_ij with 1-based indices."""
@@ -55,26 +57,16 @@ class Tensor3(_Value):
         return Vec3(*(self.rows[i][j - 1] for i in range(3)))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return Tensor3([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return Tensor3([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Tensor3":
-        return Tensor3(tuple(tuple(-a for a in r) for r in self.rows))
+        return Tensor3([[-a for a in r] for r in self.rows])
 
     def __mul__(self, s: float) -> "Tensor3":
-        return Tensor3(tuple(tuple(a * s for a in r) for r in self.rows))
+        return Tensor3([[a * s for a in r] for r in self.rows])
 
     __rmul__ = __mul__
 
@@ -93,7 +85,7 @@ class Tensor3(_Value):
 def dyad(a: Vec3, b: Vec3) -> Tensor3:
     """Indeterminate product a (x) b: entry (i, j) is a_i b_j."""
     at, bt = a.as_tuple(), b.as_tuple()
-    return Tensor3(tuple(tuple(ai * bj for bj in bt) for ai in at))
+    return Tensor3([[ai * bj for bj in bt] for ai in at])
 
 
 def nonion_basis(i: int, j: int) -> Tensor3:
@@ -116,7 +108,7 @@ def prefactor(t: Tensor3, c: Vec3) -> Vec3:
 
 
 def transpose(t: Tensor3) -> Tensor3:
-    return Tensor3(tuple(tuple(t.rows[j][i] for j in range(3)) for i in range(3)))
+    return Tensor3(tuple(zip(*t.rows)))
 
 
 def sym(t: Tensor3) -> Tensor3:

@@ -41,12 +41,71 @@ DEFAULT_FD_STEP = 1e-5
 
 Powers = tuple[int, int, int]
 
-_UNIT: tuple[Powers, Powers, Powers] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+Terms = tuple[tuple[Powers, float], ...]
 
 
 def _check_axis(axis) -> None:
     if isinstance(axis, bool) or not isinstance(axis, int) or axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+
+
+def _lowered(terms: Terms) -> tuple[Terms, Terms, Terms]:
+    """The terms of d/dx, d/dy and d/dz of a polynomial, in one pass.
+
+    Entry ``axis`` holds ``(powers with exponent e lowered by one, coeff * e)``
+    for each term whose exponent e along ``axis`` is at least 1, in term
+    order.  Lowering the same exponent of every surviving term keeps
+    distinct triples distinct and in sorted order, and ``coeff * e`` is
+    non-zero for e >= 1, so canonical input gives canonical output.
+    """
+    dx, dy, dz = [], [], []
+    for (px, py, pz), coeff in terms:
+        if px:
+            dx.append(((px - 1, py, pz), coeff * px))
+        if py:
+            dy.append(((px, py - 1, pz), coeff * py))
+        if pz:
+            dz.append(((px, py, pz - 1), coeff * pz))
+    return tuple(dx), tuple(dy), tuple(dz)
+
+
+def _top_powers(term_lists) -> Powers:
+    """The highest exponent along each axis that any of the terms uses."""
+    tx = ty = tz = 0
+    for terms in term_lists:
+        for (px, py, pz), _ in terms:
+            if px > tx:
+                tx = px
+            if py > ty:
+                ty = py
+            if pz > tz:
+                tz = pz
+    return tx, ty, tz
+
+
+def _power_tables(p: Vec3, top: Powers) -> tuple[list[float], list[float], list[float]]:
+    """``x**k``, ``y**k`` and ``z**k`` for k up to ``top``, one table per axis.
+
+    Each entry is the very power ``Poly.eval`` computes, and no table goes
+    past the highest power a term uses, so a power that no term needs
+    cannot overflow.
+    """
+    x, y, z = p.x, p.y, p.z
+    tx, ty, tz = top
+    return (
+        [x**k for k in range(tx + 1)],
+        [y**k for k in range(ty + 1)],
+        [z**k for k in range(tz + 1)],
+    )
+
+
+def _eval_terms(terms: Terms, xs: list[float], ys: list[float], zs: list[float]) -> float:
+    # The arithmetic of Poly.eval, term by term and left to right, with
+    # the powers read from the tables.
+    total = 0.0
+    for (px, py, pz), coeff in terms:
+        total += coeff * xs[px] * ys[py] * zs[pz]
+    return total
 
 
 class Poly(_Value):
@@ -60,25 +119,39 @@ class Poly(_Value):
 
     __match_args__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Powers, float], ...]) -> None:
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, terms: Terms) -> None:
+        self.__dict__["terms"] = terms
         # A method of its own, so that perfbench/tracer.py can count
         # constructions by wrapping it.
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        merged: dict[Powers, float] = {}
+        checked = []
+        # Input that is already strictly sorted with no zero coefficient is
+        # canonical as it stands: merging would only add each coefficient
+        # to 0.0, which leaves a non-zero float unchanged.
+        canonical = True
+        prev = ()
         for powers, coeff in self.terms:
             p = tuple(powers)
+            px, py, pz = p if len(p) == 3 else (None, None, None)
             # type(e) is int also refuses bools and floats such as 1.5.
-            if len(p) != 3 or not all(type(e) is int and e >= 0 for e in p):
+            if not (type(px) is type(py) is type(pz) is int and px >= 0 and py >= 0 and pz >= 0):
                 raise ValueError(f"monomial powers must be 3 non-negative ints: {powers!r}")
-            merged[p] = merged.get(p, 0.0) + float(coeff)
-        canon = tuple(sorted((p, c) for p, c in merged.items() if c != 0.0))
-        object.__setattr__(self, "terms", canon)
+            c = float(coeff)
+            if c == 0.0 or not prev < p:
+                canonical = False
+            prev = p
+            checked.append((p, c))
+        if not canonical:
+            merged: dict[Powers, float] = {}
+            for p, c in checked:
+                merged[p] = merged.get(p, 0.0) + c
+            checked = sorted((p, c) for p, c in merged.items() if c != 0.0)
+        self.__dict__["terms"] = tuple(checked)
 
     @classmethod
-    def _trusted(cls, terms: tuple[tuple[Powers, float], ...]) -> "Poly":
+    def _trusted(cls, terms: Terms) -> "Poly":
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", terms)
         return poly
@@ -100,24 +173,16 @@ class Poly(_Value):
     def diff(self, axis: int) -> "Poly":
         """Partial derivative along axis 0, 1 or 2 (x, y, z).
 
-        Lowering the same exponent of every surviving term keeps distinct
-        triples distinct and in sorted order, and ``coeff * e`` is non-zero
-        for e >= 1, so the result is already canonical and skips the
-        validating constructor.
+        The lowered terms are already canonical (see ``_lowered``), so the
+        result skips the validating constructor.
         """
         _check_axis(axis)
-        ux, uy, uz = _UNIT[axis]
-        out = []
-        for powers, coeff in self.terms:
-            e = powers[axis]
-            if e == 0:
-                continue
-            px, py, pz = powers
-            out.append(((px - ux, py - uy, pz - uz), coeff * e))
-        return Poly._trusted(tuple(out))
+        return Poly._trusted(_lowered(self.terms)[axis])
 
     def grad_at(self, p: Vec3) -> Vec3:
-        return Vec3(*(self.diff(axis).eval(p) for axis in range(3)))
+        lowered = _lowered(self.terms)
+        xs, ys, zs = _power_tables(p, _top_powers(lowered))
+        return Vec3(*(_eval_terms(terms, xs, ys, zs) for terms in lowered))
 
     def __add__(self, other: "Poly") -> "Poly":
         return Poly(self.terms + other.terms)
@@ -126,7 +191,7 @@ class Poly(_Value):
         return self + (-1.0) * other
 
     def __mul__(self, s: float) -> "Poly":
-        return Poly(tuple((p, c * s) for p, c in self.terms))
+        return Poly(tuple([(p, c * s) for p, c in self.terms]))
 
     __rmul__ = __mul__
 
@@ -134,8 +199,9 @@ class Poly(_Value):
 class PolyField(_Value):
     """Vector field with polynomial components; derivatives are exact.
 
-    The three partial fields are computed on first use and kept in a
-    write-once memo that takes no part in ``==``, ``hash`` or ``repr``.
+    The Jacobian plan and the three partial fields are computed on first
+    use and kept in write-once memos that take no part in ``==``, ``hash``
+    or ``repr``.
     """
 
     __match_args__ = ("components",)
@@ -151,9 +217,19 @@ class PolyField(_Value):
     __call__ = eval
 
     @cached_property
+    def _jacobian(self) -> tuple[tuple[tuple[Terms, Terms, Terms], ...], Powers]:
+        """Jacobian plan: the terms of dv_j/dx_i at ``[0][i][j]``, top powers at ``[1]``.
+
+        Entry (i, j) holds the terms of ``components[j].diff(i)``, in the
+        same order; ``grad_gibbs`` evaluates them over power tables.
+        """
+        rows = tuple(zip(*(_lowered(c.terms) for c in self.components)))
+        return rows, _top_powers(terms for row in rows for terms in row)
+
+    @cached_property
     def _partials(self) -> tuple["PolyField", "PolyField", "PolyField"]:
         return tuple(
-            PolyField(tuple(c.diff(axis) for c in self.components)) for axis in range(3)
+            PolyField(tuple(Poly._trusted(terms) for terms in row)) for row in self._jacobian[0]
         )
 
     def partial(self, axis: int) -> "PolyField":
@@ -219,7 +295,9 @@ def fd_grad(f, x: Vec3, step: float | None = None) -> Tensor3:
 def grad_gibbs(f: Field, x: Vec3) -> Tensor3:
     """Gradient with entry (i, j) = dv_j/dx_i (row i = derivative along axis i)."""
     if isinstance(f, PolyField):
-        return Tensor3(tuple(f.partial(axis).eval(x).as_tuple() for axis in range(3)))
+        rows, top = f._jacobian
+        xs, ys, zs = _power_tables(x, top)
+        return Tensor3([[_eval_terms(t, xs, ys, zs) for t in row] for row in rows])
     return fd_grad(f, x)
 
 

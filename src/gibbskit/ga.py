@@ -4,8 +4,10 @@ Multivectors carry 8 coefficients over the canonical basis blades
 {1, e1, e2, e3, e12, e13, e23, e123}.  Basis vectors square to +1 and
 anticommute, so the product of two basis blades is computed by merging
 their index sets (bitmask XOR) with a swap-count sign.  The full Cayley
-table is precomputed at import; every operation below is a pure function
-over immutable values.
+table, and its grade-filtered copies for the dot and wedge products, are
+precomputed at import; the geometric, dot and wedge products are one
+kernel over those tables.  Every operation below is a pure function over
+immutable values.
 """
 
 from __future__ import annotations
@@ -46,13 +48,20 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-# _PRODUCT[i][j] = (result slot, sign) for basis blades i, j.
+# _PRODUCT[i][j] = (j, result slot, sign) for basis blades i, j.  Row i of
+# _DOT and _WEDGE keeps, in the same order, the entries whose result grade
+# is |grade i - grade j| and grade i + grade j respectively.
 _PRODUCT = tuple(
-    tuple(
-        (_SLOT_OF_MASK[_MASKS[i] ^ _MASKS[j]], _merge_sign(_MASKS[i], _MASKS[j]))
-        for j in range(8)
-    )
-    for i in range(8)
+    tuple((j, _SLOT_OF_MASK[mi ^ mj], _merge_sign(mi, mj)) for j, mj in enumerate(_MASKS))
+    for mi in _MASKS
+)
+_DOT = tuple(
+    tuple(e for e in row if _GRADES[e[1]] == abs(_GRADES[i] - _GRADES[e[0]]))
+    for i, row in enumerate(_PRODUCT)
+)
+_WEDGE = tuple(
+    tuple(e for e in row if _GRADES[e[1]] == _GRADES[i] + _GRADES[e[0]])
+    for i, row in enumerate(_PRODUCT)
 )
 
 
@@ -60,10 +69,11 @@ class _Value:
     """Base of gibbskit's immutable values.
 
     A subclass names its fields, in constructor order, in ``__match_args__``
-    and sets them in ``__init__`` through ``object.__setattr__``.  ``==`` and
-    ``hash`` use the fields named in ``_compared`` (all of them unless the
-    subclass sets it), and ``==`` only holds between instances of the same
-    class; ``repr`` shows every field.
+    and sets them in ``__init__`` through ``object.__setattr__``, or, in the
+    value types built most often, by writing to ``self.__dict__``, which
+    costs about half as much.  ``==`` and ``hash`` use the fields named in
+    ``_compared`` (all of them unless the subclass sets it), and ``==`` only
+    holds between instances of the same class; ``repr`` shows every field.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -98,9 +108,10 @@ class Vec3(_Value):
     __match_args__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float) -> None:
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "z", float(z))
+        fields = self.__dict__
+        fields["x"] = float(x)
+        fields["y"] = float(y)
+        fields["z"] = float(z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -137,7 +148,10 @@ class Vec3(_Value):
         """Unit vector e_i, i in {1, 2, 3}."""
         if i not in (1, 2, 3):
             raise ValueError(f"basis index must be 1, 2 or 3, got {i}")
-        return Vec3(*(1.0 if k == i else 0.0 for k in (1, 2, 3)))
+        return _BASIS[i - 1]
+
+
+_BASIS = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
 
 
 class Multivector(_Value):
@@ -148,16 +162,16 @@ class Multivector(_Value):
     def __init__(
         self, coeffs: tuple[float, float, float, float, float, float, float, float]
     ) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__["coeffs"] = coeffs
         # A method of its own, so that perfbench/tracer.py can count
         # constructions by wrapping it.
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        c = tuple(float(v) for v in self.coeffs)
+        c = tuple(map(float, self.coeffs))
         if len(c) != 8:
             raise ValueError(f"need 8 blade coefficients, got {len(c)}")
-        object.__setattr__(self, "coeffs", c)
+        self.__dict__["coeffs"] = c
 
     @staticmethod
     def zero() -> "Multivector":
@@ -177,21 +191,21 @@ class Multivector(_Value):
         return Multivector.from_vec3(Vec3.basis(i))
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Multivector([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Multivector([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Multivector":
-        return Multivector(tuple(-a for a in self.coeffs))
+        return Multivector([-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        return Multivector(tuple(a * other for a in self.coeffs))
+        return Multivector([a * other for a in self.coeffs])
 
     def __rmul__(self, other: float) -> "Multivector":
-        return Multivector(tuple(a * other for a in self.coeffs))
+        return Multivector([a * other for a in self.coeffs])
 
     def grade(self, k: int) -> "Multivector":
         return grade(self, k)
@@ -200,27 +214,35 @@ class Multivector(_Value):
         return render_multivector(self)
 
 
-def geometric_product(m: Multivector, n: Multivector) -> Multivector:
-    """Clifford product of two multivectors (associative, non-commutative)."""
+def _product(m: Multivector, n: Multivector, rows) -> Multivector:
+    """Sum of the blade products that ``rows`` keeps, i-major, j-minor.
+
+    A zero coefficient is skipped rather than multiplied, because
+    ``0 * inf`` is ``nan``.
+    """
     out = [0.0] * 8
-    for i, a in enumerate(m.coeffs):
+    nc = n.coeffs
+    for a, row in zip(m.coeffs, rows):
         if a == 0.0:
             continue
-        for j, b in enumerate(n.coeffs):
+        for j, slot, sign in row:
+            b = nc[j]
             if b == 0.0:
                 continue
-            slot, sign = _PRODUCT[i][j]
             out[slot] += sign * a * b
-    return Multivector(tuple(out))
+    return Multivector(out)
+
+
+def geometric_product(m: Multivector, n: Multivector) -> Multivector:
+    """Clifford product of two multivectors (associative, non-commutative)."""
+    return _product(m, n, _PRODUCT)
 
 
 def grade(m: Multivector, k: int) -> Multivector:
     """Projection of m onto its grade-k part, 0 <= k <= 3."""
     if not isinstance(k, int) or k < 0 or k > 3:
         raise ValueError(f"grade must be an integer in 0..3, got {k!r}")
-    return Multivector(
-        tuple(c if _GRADES[i] == k else 0.0 for i, c in enumerate(m.coeffs))
-    )
+    return Multivector([c if _GRADES[i] == k else 0.0 for i, c in enumerate(m.coeffs)])
 
 
 def grades_present(m: Multivector) -> set[int]:
@@ -234,34 +256,12 @@ def dot(a: Multivector, b: Multivector) -> Multivector:
     Extended bilinearly over the grade decomposition of both arguments;
     for a scalar operand this reduces to plain scalar multiplication.
     """
-    out = [0.0] * 8
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0.0:
-            continue
-        gi = _GRADES[i]
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0.0:
-                continue
-            slot, sign = _PRODUCT[i][j]
-            if _GRADES[slot] == abs(gi - _GRADES[j]):
-                out[slot] += sign * ca * cb
-    return Multivector(tuple(out))
+    return _product(a, b, _DOT)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Grade-raising product: the grade j+k part of each blade product."""
-    out = [0.0] * 8
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0.0:
-            continue
-        gi = _GRADES[i]
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0.0:
-                continue
-            slot, sign = _PRODUCT[i][j]
-            if _GRADES[slot] == gi + _GRADES[j]:
-                out[slot] += sign * ca * cb
-    return Multivector(tuple(out))
+    return _product(a, b, _WEDGE)
 
 
 def scalar_part(m: Multivector) -> float:

@@ -413,3 +413,66 @@ def test_non_utf8_field_file_exit_2(tmp_path):
     code, out, err = run_cli(["kinematics", "--field", str(bad), "--point", "0", "0", "0"])
     assert code == 2
     assert out == "" and "not valid JSON" in err
+
+
+# --- negative numbers in exponent form; overflow -------------------------------------
+
+
+def test_point_accepts_negative_exponent_form():
+    base = ["kinematics", "--field", str(FIELDS / "shear.json")]
+    exp_form = run_cli([*base, "--point", "0", "-2e-3", "0"])
+    plain = run_cli([*base, "--point", "0", "-0.002", "0"])
+    assert exp_form == plain
+    assert exp_form[0] == 0 and "point: (0, -0.002, 0)" in exp_form[1]
+
+
+def test_bind_accepts_negative_exponent_form():
+    code, out, _ = run_cli(
+        ["eval", "--field", str(FIELDS / "shear.json"), "--bind", "a=-2e-3,1,1", "a"]
+    )
+    assert (code, out) == (0, "(-0.002, 1, 1)\n")
+
+
+def test_module_negative_infinite_point_is_one_line_exit_1():
+    res = run_module(
+        ["kinematics", "--field", str(FIELDS / "shear.json"), "--point", "0", "-inf", "0"]
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "finite" in res.stderr
+
+
+def _field_file(tmp_path, coeff, powers):
+    path = tmp_path / "field.json"
+    path.write_text(
+        json.dumps(
+            {"type": "polynomial", "components": [[{"coeff": coeff, "powers": powers}], [], []]}
+        )
+    )
+    return str(path)
+
+
+COMMANDS = {"kinematics": [], "conventions": [], "eval": ["v"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_module_overflow_is_one_line_exit_1(tmp_path, command):
+    field = _field_file(tmp_path, 1.0, [5000, 0, 0])
+    res = run_module(
+        [command, "--field", field, "--point", "2", "0", "0", *COMMANDS[command]]
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "overflow" in res.stderr
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_non_finite_json_result_exit_1(tmp_path, command):
+    field = _field_file(tmp_path, 1e308, [2, 0, 0])
+    args = [command, "--field", field, "--point", "10", "0", "0", *COMMANDS[command]]
+    code, out, err = run_cli([*args, "--output", "json"])
+    assert (code, out) == (1, "")
+    assert "not finite" in err and "\n" not in err
+    # Text output still shows the value.
+    code, out, _ = run_cli(args)
+    assert code == 0 and "inf" in out
