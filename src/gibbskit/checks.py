@@ -35,10 +35,11 @@ class CheckResult(_Value):
     __match_args__ = ("name", "passed", "cases", "detail")
 
     def __init__(self, name: str, passed: bool, cases: int, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "detail", detail)
+        fields = self.__dict__
+        fields["name"] = name
+        fields["passed"] = passed
+        fields["cases"] = cases
+        fields["detail"] = detail
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,8 @@ def _top_powers(term_lists) -> Powers:
 def _power_tables(p: Vec3, top: Powers) -> tuple[list[float], list[float], list[float]]:
     """``x**k``, ``y**k`` and ``z**k`` for k up to ``top``, one table per axis.
 
-    Each entry is the very power ``Poly.eval`` computes, and no table goes
-    past the highest power a term uses, so a power that no term needs
-    cannot overflow.
+    No table goes past the highest power a term uses, so a power that no
+    term needs cannot overflow.
     """
     x, y, z = p.x, p.y, p.z
     tx, ty, tz = top
@@ -100,7 +99,7 @@ def _power_tables(p: Vec3, top: Powers) -> tuple[list[float], list[float], list[
 
 
 def _eval_terms(terms: Terms, xs: list[float], ys: list[float], zs: list[float]) -> float:
-    # The arithmetic of Poly.eval, term by term and left to right, with
+    # The one polynomial evaluator: term by term and left to right, with
     # the powers read from the tables.
     total = 0.0
     for (px, py, pz), coeff in terms:
@@ -153,7 +152,7 @@ class Poly(_Value):
     @classmethod
     def _trusted(cls, terms: Terms) -> "Poly":
         poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", terms)
+        poly.__dict__["terms"] = terms
         return poly
 
     @staticmethod
@@ -165,10 +164,7 @@ class Poly(_Value):
         return Poly((((0, 0, 0), float(c)),))
 
     def eval(self, p: Vec3) -> float:
-        total = 0.0
-        for (px, py, pz), coeff in self.terms:
-            total += coeff * p.x**px * p.y**py * p.z**pz
-        return total
+        return _eval_terms(self.terms, *_power_tables(p, _top_powers((self.terms,))))
 
     def diff(self, axis: int) -> "Poly":
         """Partial derivative along axis 0, 1 or 2 (x, y, z).
@@ -209,10 +205,12 @@ class PolyField(_Value):
     def __init__(self, components: tuple[Poly, Poly, Poly]) -> None:
         if len(components) != 3:
             raise ValueError("PolyField needs exactly 3 components")
-        object.__setattr__(self, "components", components)
+        self.__dict__["components"] = components
 
     def eval(self, x: Vec3) -> Vec3:
-        return Vec3(*(c.eval(x) for c in self.components))
+        terms = [c.terms for c in self.components]
+        xs, ys, zs = _power_tables(x, _top_powers(terms))
+        return Vec3(*(_eval_terms(t, xs, ys, zs) for t in terms))
 
     __call__ = eval
 
@@ -257,8 +255,9 @@ class BlackBoxField(_Value):
 
     def __init__(self, evaluator: Callable[[Vec3], Vec3], step: float = DEFAULT_FD_STEP) -> None:
         _check_fd_step(step)
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "step", step)
+        fields = self.__dict__
+        fields["evaluator"] = evaluator
+        fields["step"] = step
 
     def eval(self, x: Vec3) -> Vec3:
         return self.evaluator(x)

@@ -69,11 +69,11 @@ class _Value:
     """Base of gibbskit's immutable values.
 
     A subclass names its fields, in constructor order, in ``__match_args__``
-    and sets them in ``__init__`` through ``object.__setattr__``, or, in the
-    value types built most often, by writing to ``self.__dict__``, which
-    costs about half as much.  ``==`` and ``hash`` use the fields named in
-    ``_compared`` (all of them unless the subclass sets it), and ``==`` only
-    holds between instances of the same class; ``repr`` shows every field.
+    and sets them in ``__init__`` by writing to ``self.__dict__``, since
+    ``__setattr__`` refuses every assignment.  ``==`` and ``hash`` use the
+    fields named in ``_compared`` (all of them unless the subclass sets it),
+    and ``==`` only holds between instances of the same class; ``repr``
+    shows every field.
     """
 
     __match_args__: tuple[str, ...] = ()

@@ -148,11 +148,12 @@ class KinematicsReport(_Value):
         vorticity: Vec3,
         divergence: float,
     ) -> None:
-        for name, value in zip(
-            self.__match_args__,
-            (point, grad_gibbs, grad_alt, d, omega, omega_bivector, vorticity, divergence),
-        ):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(
+            zip(
+                self.__match_args__,
+                (point, grad_gibbs, grad_alt, d, omega, omega_bivector, vorticity, divergence),
+            )
+        )
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; matrices render row-major array-of-arrays."""

@@ -119,9 +119,10 @@ class Token(_Value):
     __match_args__ = ("kind", "text", "pos")
 
     def __init__(self, kind: str, text: str, pos: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)  # byte offset into the UTF-8 source
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["text"] = text
+        fields["pos"] = pos  # byte offset into the UTF-8 source
 
 
 def tokenize(src: str) -> list[Token]:
@@ -207,7 +208,7 @@ class Nabla(_Value):
     _compared = ()
 
     def __init__(self, pos: int = 0) -> None:
-        object.__setattr__(self, "pos", pos)
+        self.__dict__["pos"] = pos
 
 
 class VectorRef(_Value):
@@ -215,8 +216,9 @@ class VectorRef(_Value):
     _compared = ("name",)
 
     def __init__(self, name: str, pos: int = 0) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pos", pos)
+        fields = self.__dict__
+        fields["name"] = name
+        fields["pos"] = pos
 
 
 class ScalarLit(_Value):
@@ -224,8 +226,9 @@ class ScalarLit(_Value):
     _compared = ("value",)
 
     def __init__(self, value: float, pos: int = 0) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "pos", pos)
+        fields = self.__dict__
+        fields["value"] = value
+        fields["pos"] = pos
 
 
 class Unary(_Value):
@@ -233,9 +236,10 @@ class Unary(_Value):
     _compared = ("op", "operand")
 
     def __init__(self, op: str, operand: "Expr", pos: int = 0) -> None:
-        object.__setattr__(self, "op", op)  # "transpose" | "neg"
-        object.__setattr__(self, "operand", operand)
-        object.__setattr__(self, "pos", pos)
+        fields = self.__dict__
+        fields["op"] = op  # "transpose" | "neg"
+        fields["operand"] = operand
+        fields["pos"] = pos
 
 
 class Binary(_Value):
@@ -244,10 +248,11 @@ class Binary(_Value):
 
     def __init__(self, op: str, left: "Expr", right: "Expr", pos: int = 0) -> None:
         # op: dyad | dot | wedge | cross | star | plus | minus | apply
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "pos", pos)
+        fields = self.__dict__
+        fields["op"] = op
+        fields["left"] = left
+        fields["right"] = right
+        fields["pos"] = pos
 
 
 Expr = Union[Nabla, VectorRef, ScalarLit, Unary, Binary]
@@ -433,10 +438,11 @@ class EvalContext(_Value):
         fd_step: float = 1e-5,
     ) -> None:
         _check_fd_step(fd_step)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "bindings", {} if bindings is None else bindings)
-        object.__setattr__(self, "fd_step", fd_step)
+        fields = self.__dict__
+        fields["field"] = field
+        fields["point"] = point
+        fields["bindings"] = {} if bindings is None else bindings
+        fields["fd_step"] = fd_step
 
     @cached_property
     def _grad(self) -> Tensor3:
@@ -580,9 +586,10 @@ class AuditResult(_Value):
         self, verdict: str, max_abs_deviation_gibbs: float, max_abs_deviation_alt: float
     ) -> None:
         # verdict: gibbs | alternative | symmetric-ambiguous | neither
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "max_abs_deviation_gibbs", max_abs_deviation_gibbs)
-        object.__setattr__(self, "max_abs_deviation_alt", max_abs_deviation_alt)
+        fields = self.__dict__
+        fields["verdict"] = verdict
+        fields["max_abs_deviation_gibbs"] = max_abs_deviation_gibbs
+        fields["max_abs_deviation_alt"] = max_abs_deviation_alt
 
     def to_dict(self) -> dict:
         return {

@@ -3,8 +3,10 @@
 Each new path is compared bit for bit (``float.hex``, so that ``-0.0``
 and ``nan`` show) with the code it replaced, which is copied in below as
 the reference: the three GA product loops, the validating ``Poly``
-constructor, and ``G`` computed as ``partial(axis).eval(x)`` through the
-exponent-decrementing ``Poly.diff``.
+constructor, ``Poly.eval``, and ``G`` computed as ``partial(axis).eval(x)``
+through the exponent-decrementing ``Poly.diff``.  The properties run with
+no hypothesis deadline: each example also runs the pure-Python reference,
+and only a bit mismatch should fail them.
 """
 
 import math
@@ -13,7 +15,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gibbskit import Multivector, Poly, PolyField, Vec3, ga, grad_gibbs
 from gibbskit.ga import dot, geometric_product, wedge
@@ -170,6 +172,7 @@ def raw_terms(draw):
     [(geometric_product, ref_geometric_product), (dot, ref_dot), (wedge, ref_wedge)],
     ids=["geometric_product", "dot", "wedge"],
 )
+@settings(deadline=None)
 @given(m=MULTIVECTORS, n=MULTIVECTORS)
 def test_product_kernel_is_bit_identical(new, ref, m, n):
     assert hexes(new(m, n).coeffs) == hexes(ref(m, n).coeffs)
@@ -185,6 +188,7 @@ def test_zero_coefficient_times_infinity_is_skipped():
 # --- validating Poly constructor ----------------------------------------------------
 
 
+@settings(deadline=None)
 @given(raw_terms())
 def test_poly_constructor_matches_reference(terms):
     got = outcome(lambda t: Poly(t).terms, terms)
@@ -213,6 +217,7 @@ def test_poly_constructor_runs_post_init_once_on_both_paths(monkeypatch):
 # --- the Jacobian plan ----------------------------------------------------------------
 
 
+@settings(deadline=None)
 @given(FIELDS, POINTS)
 def test_grad_gibbs_is_bit_identical(f, x):
     got = grad_gibbs(f, x).rows
@@ -220,9 +225,18 @@ def test_grad_gibbs_is_bit_identical(f, x):
     assert [hexes(r) for r in got] == [hexes(r) for r in want]
 
 
+@settings(deadline=None)
 @given(POLYS, POINTS)
 def test_grad_at_is_bit_identical(poly, x):
     assert hexes(poly.grad_at(x).as_tuple()) == hexes(ref_grad_at(poly, x))
+
+
+@settings(deadline=None)
+@given(FIELDS, POINTS)
+def test_eval_is_bit_identical(f, x):
+    want = hexes(ref_eval(c.terms, x) for c in f.components)
+    assert hexes(c.eval(x) for c in f.components) == want
+    assert hexes(f.eval(x).as_tuple()) == want
 
 
 def test_unused_power_is_never_computed():
@@ -235,6 +249,15 @@ def test_unused_power_is_never_computed():
     assert grad_gibbs(f, x).rows == ref_grad_gibbs(f, x)
     assert grad_gibbs(f, x).rows[0][0] == 5.0 * 1e70**4
     assert x5.grad_at(x).as_tuple() == ref_grad_at(x5, x) == (5.0 * 1e70**4, 0.0, 0.0)
+    # Evaluating v itself needs x^5, so it overflows as the reference does.
+    with pytest.raises(OverflowError):
+        ref_eval(x5.terms, x)
+    with pytest.raises(OverflowError):
+        f.eval(x)
+    # A power table covers all three components but no higher power than
+    # one of them uses.
+    g = PolyField((Poly((((1, 0, 0), 1.0),)), Poly((((0, 4, 0), 1.0),)), Poly.zero()))
+    assert g.eval(x).as_tuple() == (1e70, 0.0, 0.0)
 
 
 def test_plan_is_memoized_and_matches_diff():
