@@ -10,9 +10,10 @@ Four commands share one flag vocabulary:
 Exit codes: 0 success, 1 malformed invocation, 2 field-spec schema
 violation, 3 expression parse/eval error, 4 invariant-suite failure.
 Exit 1 also covers a result that cannot be computed or written: a power
-that overflows while the field is evaluated, or a non-finite value asked
-for as JSON, which RFC 8259 cannot represent.  Output is deterministic
-for a fixed invocation (including --seed).
+that overflows while the field is evaluated, a non-finite value asked
+for as JSON, which RFC 8259 cannot represent, or a stdout the reader
+has closed.  Output is deterministic for a fixed invocation (including
+--seed).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import kinematics, notation
@@ -328,10 +330,18 @@ def run(args: argparse.Namespace, out=None) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        return run(_config_from_args(parser.parse_args(argv)))
+        code = run(_config_from_args(parser.parse_args(argv)))
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit, so
+        # point it at devnull to keep that flush from raising a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

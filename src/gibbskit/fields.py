@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable, Union
 
 from .dyadics import Tensor3, trace, transpose
 from .ga import Vec3, _Value
@@ -265,7 +265,7 @@ class BlackBoxField(_Value):
     __call__ = eval
 
 
-Field = Union[PolyField, BlackBoxField]
+Field = PolyField | BlackBoxField
 
 
 def _check_fd_step(step: float) -> None:

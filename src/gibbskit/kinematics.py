@@ -7,6 +7,10 @@ the bivector form omega = (1/2) nabla ^ v with the vorticity as its axial
 dual, the split of dv into compression-sensitive and -insensitive parts,
 and the bidirectional-gradient vectors <nabla dx v>_1 and <dx v nabla>_1.
 
+Each quantity has one implementation, a function of G: the ``*_of`` forms
+here, or dyadics' sym, antisym, trace, postfactor, prefactor and transpose.
+The functions taking a field and a point compute G once and wrap them.
+
 The rotation tensor returned everywhere is the postfactor one: dr . omega
 rotates in the physical sense, while omega's transpose must be used as a
 prefactor to keep the same sense of rotation.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from . import ga
 from .dyadics import Tensor3, antisym, postfactor, prefactor, sym, trace, transpose
-from .fields import Field, grad_gibbs, grad_alt, partial_vectors
+from .fields import Field, grad_gibbs
 from .ga import Multivector, Vec3, _Value
 
 __all__ = [
@@ -25,11 +29,15 @@ __all__ = [
     "dv_postfactor",
     "dv_prefactor",
     "nabla_wedge",
+    "nabla_wedge_of",
     "omega_bivector",
     "vorticity",
     "strain_split",
+    "strain_split_of",
     "bidi_forward",
+    "bidi_forward_of",
     "bidi_reverse",
+    "bidi_reverse_of",
     "report",
 ]
 
@@ -51,26 +59,26 @@ def dv_postfactor(f: Field, x: Vec3, dr: Vec3) -> Vec3:
 
 def dv_prefactor(f: Field, x: Vec3, dr: Vec3) -> Vec3:
     """The same differential written as transpose(G) . dr."""
-    return prefactor(grad_alt(f, x), dr)
+    return prefactor(transpose(grad_gibbs(f, x)), dr)
 
 
 def nabla_wedge(f: Field, x: Vec3) -> Multivector:
     """The bivector nabla ^ v = sum_{i<j} (d_i v_j - d_j v_i) e_ij."""
-    return _wedge_of(grad_gibbs(f, x))
+    return nabla_wedge_of(grad_gibbs(f, x))
 
 
-def _wedge_of(grad: Tensor3) -> Multivector:
+def nabla_wedge_of(g: Tensor3) -> Multivector:
     """nabla ^ v from the gradient G (entry (i, j) = dv_j/dx_i)."""
-    g = grad.rows
+    r = g.rows
     return Multivector(
         (
             0.0,
             0.0,
             0.0,
             0.0,
-            g[0][1] - g[1][0],
-            g[0][2] - g[2][0],
-            g[1][2] - g[2][1],
+            r[0][1] - r[1][0],
+            r[0][2] - r[2][0],
+            r[1][2] - r[2][1],
             0.0,
         )
     )
@@ -93,7 +101,11 @@ def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
     with geometric-algebra products as sum_i e_i . (dx ^ d_i v); the two
     parts always add back to dv_postfactor.
     """
-    g = grad_gibbs(f, x)
+    return strain_split_of(grad_gibbs(f, x), dx)
+
+
+def strain_split_of(g: Tensor3, dx: Vec3) -> tuple[Vec3, Vec3]:
+    """strain_split from the gradient G."""
     compressive = trace(g) * dx
     dxm = Multivector.from_vec3(dx)
     acc = Multivector.zero()
@@ -110,10 +122,15 @@ def bidi_forward(f: Field, x: Vec3, dx: Vec3) -> Vec3:
     This is the gradient acting from the left through the constant dx; for
     a divergence-free field it equals 2 dx . d.
     """
+    return bidi_forward_of(grad_gibbs(f, x), dx)
+
+
+def bidi_forward_of(g: Tensor3, dx: Vec3) -> Vec3:
+    """bidi_forward from the gradient G, whose row i is d_i v."""
     dxm = Multivector.from_vec3(dx)
     acc = Multivector.zero()
-    for i, dv_i in enumerate(partial_vectors(f, x), start=1):
-        acc = acc + Multivector.basis_vector(i) * dxm * Multivector.from_vec3(dv_i)
+    for i in (1, 2, 3):
+        acc = acc + Multivector.basis_vector(i) * dxm * Multivector.from_vec3(g.row(i))
     return ga.vector_part(ga.grade(acc, 1))
 
 
@@ -122,10 +139,15 @@ def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
     For a divergence-free field it equals -2 dx . omega.
     """
+    return bidi_reverse_of(grad_gibbs(f, x), dx)
+
+
+def bidi_reverse_of(g: Tensor3, dx: Vec3) -> Vec3:
+    """bidi_reverse from the gradient G, whose row i is d_i v."""
     dxm = Multivector.from_vec3(dx)
     acc = Multivector.zero()
-    for i, dv_i in enumerate(partial_vectors(f, x), start=1):
-        acc = acc + dxm * Multivector.from_vec3(dv_i) * Multivector.basis_vector(i)
+    for i in (1, 2, 3):
+        acc = acc + dxm * Multivector.from_vec3(g.row(i)) * Multivector.basis_vector(i)
     return ga.vector_part(ga.grade(acc, 1))
 
 
@@ -175,7 +197,7 @@ def report(f: Field, x: Vec3) -> KinematicsReport:
     g = grad_gibbs(f, x)
     d = sym(g)
     omega = antisym(g)
-    nw = _wedge_of(g)
+    nw = nabla_wedge_of(g)
     return KinematicsReport(
         point=x,
         grad_gibbs=g,

@@ -23,8 +23,9 @@ Applying `∇` directly to a parenthesized scalar expression, as in
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping, Union
 
 from . import ga
 from .dyadics import (
@@ -32,7 +33,7 @@ from .dyadics import (
 )
 from .fields import Field, _check_fd_step, grad_gibbs
 from .ga import Multivector, Vec3, _Value
-from .kinematics import _wedge_of
+from .kinematics import nabla_wedge_of
 
 __all__ = [
     "NotationError",
@@ -128,7 +129,8 @@ class Token(_Value):
 def tokenize(src: str) -> list[Token]:
     """Split source text into tokens; whitespace-insensitive.
 
-    Unknown characters raise LexError with the byte offset.  The 3-char
+    Unknown characters, and number literals that overflow to infinity,
+    raise LexError with the byte offset.  The 3-char
     sequence ``(x)`` is always the dyad operator; write ``( x )`` to group
     a variable literally named x.
     """
@@ -182,6 +184,8 @@ def tokenize(src: str) -> list[Token]:
                     while j < n and src[j].isdigit():
                         j += 1
             text = src[i:j]
+            if not math.isfinite(float(text)):
+                raise LexError(f"number {text!r} is not finite", start)
             tokens.append(Token(NUMBER, text, start))
             advance(j - i)
             continue
@@ -255,7 +259,7 @@ class Binary(_Value):
         fields["pos"] = pos
 
 
-Expr = Union[Nabla, VectorRef, ScalarLit, Unary, Binary]
+Expr = Nabla | VectorRef | ScalarLit | Unary | Binary
 
 APPLY = "apply"  # nabla applied to a scalar subexpression: gradient
 
@@ -403,7 +407,7 @@ def render(node: Expr) -> str:
     return f"{_wrap(node.left)} {OP_SYMBOL[node.op]} {_wrap(node.right)}"
 
 
-Value = Union[float, Vec3, Tensor3, Multivector]
+Value = float | Vec3 | Tensor3 | Multivector
 
 
 def value_kind(v: Value) -> str:
@@ -469,9 +473,9 @@ def _eval_nabla_op(op: str, right: Expr, ctx: EvalContext, pos: int) -> Value:
     if op == DOT:
         return trace(ctx._grad)
     if op == WEDGE:
-        return _wedge_of(ctx._grad)
+        return nabla_wedge_of(ctx._grad)
     if op == CROSS:
-        return ga.vector_dual(_wedge_of(ctx._grad))
+        return ga.vector_dual(nabla_wedge_of(ctx._grad))
     raise EvalError(f"∇ cannot be combined with {OP_SYMBOL[op]!r}", pos)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -476,3 +477,31 @@ def test_non_finite_json_result_exit_1(tmp_path, command):
     # Text output still shows the value.
     code, out, _ = run_cli(args)
     assert code == 0 and "inf" in out
+
+
+def test_module_non_finite_literal_exit_3():
+    res = run_module(
+        ["eval", "--field", "sample_fields/shear.json", "--point", "0", "0", "0", "1e999 * v"]
+    )
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "offset 0" in res.stderr
+
+
+def test_module_closed_stdout_exit_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "gibbskit", "kinematics",
+             "--field", "sample_fields/shear.json", "--point", "0", "0", "0"],
+            cwd=str(REPO),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr

@@ -305,3 +305,20 @@ def test_audit_tolerance_is_relative():
     g = grad_gibbs(f, x)
     nudged = g + Tensor3(((1e-12, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     assert audit_convention(nudged, f, x).verdict == "gibbs"
+
+
+@pytest.mark.parametrize(
+    "src, pos", [("1e999 * v", 0), ("v + 2E+400 * v", 4), ("∇ · (9e9999 * v)", 8)]
+)
+def test_non_finite_literal_is_a_lex_error(src, pos):
+    with pytest.raises(LexError) as err:
+        tokenize(src)
+    assert err.value.pos == pos
+    with pytest.raises(LexError):
+        parse(src)
+
+
+@pytest.mark.parametrize("src", ["1e308 * v", "1.7976931348623157e308 * dr", "1e-999 * v"])
+def test_large_finite_literal_round_trips(src):
+    tree = parse(src)
+    assert parse(render(tree)) == tree

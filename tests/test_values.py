@@ -306,3 +306,14 @@ def test_cli_import_loads_neither_dataclasses_nor_checks():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_typing():
+    # -S: a site-packages .pth file may import typing before gibbskit does.
+    probe = "import sys, gibbskit.cli\nprint('typing' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
