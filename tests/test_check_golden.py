@@ -2,11 +2,15 @@
 
 Python 3.12 made the builtin ``sum`` of floats compensated, which moves
 the last digit of two reported error figures, so 3.12 and later have
-their own golden file.
+their own golden file.  Seeds 1 to 3 are pinned by the sha256 of their
+output, with one set of digests for 3.11 and earlier and one for 3.12+.
 """
 
+import hashlib
 import sys
 from pathlib import Path
+
+import pytest
 
 from gibbskit import cli
 
@@ -22,3 +26,29 @@ def test_check_seed0_stdout_is_byte_identical(capsys):
     assert code == 0
     assert captured.err == ""
     assert captured.out.encode("utf-8") == GOLDEN.read_bytes()
+
+
+# sha256 of `gibbskit check --seed N` stdout.  Seed 1 does not show the
+# 3.12 `sum` difference.
+CHECK_DIGESTS = {
+    1: "d8bed74a44e9a54000a58009f8bf0c93a212fcc4a1dee10bca9e1e6c975444f8",
+    2: (
+        "f300218b8649414128df031458c0c11c302382f0354301ae28b540719f3158e8"
+        if sys.version_info >= (3, 12)
+        else "50f6a4b5c20ca0e1204ed159346505bbc7a2a140c9218587cf950b2070dd8b19"
+    ),
+    3: (
+        "ec1c8bc6d979ef20b619c6d645d1fd20872405c419aa2545d41550e7a4b6ab39"
+        if sys.version_info >= (3, 12)
+        else "e7a5c41e15ff80d9ba7c89f95190c8ef2be5a8860a91cdb170cc84fde28b4398"
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_DIGESTS))
+def test_check_stdout_digest_is_pinned(capsys, seed):
+    code = cli.main(["check", "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == CHECK_DIGESTS[seed]
