@@ -78,9 +78,13 @@ _CUBIC_POWERS = [
 ]
 
 
+# Every monomial of degree <= 3; _rand_cubic gives each a new coefficient.
+_CUBIC = Poly(tuple((p, 1.0) for p in _CUBIC_POWERS))
+
+
 def _rand_cubic(rng: random.Random) -> PolyField:
     comps = tuple(
-        Poly(tuple((p, rng.uniform(-1.0, 1.0)) for p in _CUBIC_POWERS)) for _ in range(3)
+        _CUBIC._with_coeffs([rng.uniform(-1.0, 1.0) for _ in _CUBIC_POWERS]) for _ in range(3)
     )
     return PolyField(comps)
 

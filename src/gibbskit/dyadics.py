@@ -8,7 +8,9 @@ it acts on vectors either as a postfactor (c . T) or as a prefactor
 
 from __future__ import annotations
 
-from .ga import Vec3, _Value
+from operator import add, neg, sub
+
+from .ga import Vec3, _new, _Value, _vec3
 
 __all__ = [
     "Tensor3",
@@ -51,19 +53,20 @@ class Tensor3(_Value):
         return self.rows[i - 1][j - 1]
 
     def row(self, i: int) -> Vec3:
-        return Vec3(*self.rows[i - 1])
+        return _vec3(*self.rows[i - 1])
 
     def column(self, j: int) -> Vec3:
-        return Vec3(*(self.rows[i][j - 1] for i in range(3)))
+        r0, r1, r2 = self.rows
+        return _vec3(r0[j - 1], r1[j - 1], r2[j - 1])
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return _tensor(tuple([tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return _tensor(tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
     def __neg__(self) -> "Tensor3":
-        return Tensor3([[-a for a in r] for r in self.rows])
+        return _tensor(tuple([tuple(map(neg, r)) for r in self.rows]))
 
     def __mul__(self, s: float) -> "Tensor3":
         return Tensor3([[a * s for a in r] for r in self.rows])
@@ -82,10 +85,17 @@ class Tensor3(_Value):
         return render_matrix(self)
 
 
+def _tensor(rows: Rows) -> Tensor3:
+    # Trusted builder: rows must already be 3 tuples of 3 floats.
+    t = _new(Tensor3)
+    t.__dict__["rows"] = rows
+    return t
+
+
 def dyad(a: Vec3, b: Vec3) -> Tensor3:
     """Indeterminate product a (x) b: entry (i, j) is a_i b_j."""
     at, bt = a.as_tuple(), b.as_tuple()
-    return Tensor3([[ai * bj for bj in bt] for ai in at])
+    return _tensor(tuple([tuple([ai * bj for bj in bt]) for ai in at]))
 
 
 def nonion_basis(i: int, j: int) -> Tensor3:
@@ -98,27 +108,33 @@ def nonion_basis(i: int, j: int) -> Tensor3:
 def postfactor(c: Vec3, t: Tensor3) -> Vec3:
     """c . T, the vector applied from the left: result_j = sum_i c_i T_ij."""
     ct = c.as_tuple()
-    return Vec3(*(sum(ct[i] * t.rows[i][j] for i in range(3)) for j in range(3)))
+    return _vec3(*[sum(ct[i] * t.rows[i][j] for i in range(3)) for j in range(3)])
 
 
 def prefactor(t: Tensor3, c: Vec3) -> Vec3:
     """T . c, the vector applied from the right: result_i = sum_j T_ij c_j."""
     ct = c.as_tuple()
-    return Vec3(*(sum(t.rows[i][j] * ct[j] for j in range(3)) for i in range(3)))
+    return _vec3(*[sum(t.rows[i][j] * ct[j] for j in range(3)) for i in range(3)])
 
 
 def transpose(t: Tensor3) -> Tensor3:
-    return Tensor3(tuple(zip(*t.rows)))
+    return _tensor(tuple(zip(*t.rows)))
 
 
 def sym(t: Tensor3) -> Tensor3:
-    """Symmetric part (T + transpose(T)) / 2."""
-    return 0.5 * (t + transpose(t))
+    """Symmetric part (T + transpose(T)) / 2, entry by entry."""
+    rows = t.rows
+    return _tensor(
+        tuple([tuple([(a + b) * 0.5 for a, b in zip(r, c)]) for r, c in zip(rows, zip(*rows))])
+    )
 
 
 def antisym(t: Tensor3) -> Tensor3:
-    """Antisymmetric part (T - transpose(T)) / 2."""
-    return 0.5 * (t - transpose(t))
+    """Antisymmetric part (T - transpose(T)) / 2, entry by entry."""
+    rows = t.rows
+    return _tensor(
+        tuple([tuple([(a - b) * 0.5 for a, b in zip(r, c)]) for r, c in zip(rows, zip(*rows))])
+    )
 
 
 def trace(t: Tensor3) -> float:

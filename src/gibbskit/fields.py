@@ -18,8 +18,8 @@ import math
 from collections.abc import Callable
 from functools import cached_property
 
-from .dyadics import Tensor3, trace, transpose
-from .ga import Vec3, _Value
+from .dyadics import Tensor3, _tensor, trace, transpose
+from .ga import Vec3, _Value, _vec3
 
 __all__ = [
     "Poly",
@@ -83,6 +83,26 @@ def _top_powers(term_lists) -> Powers:
     return tx, ty, tz
 
 
+def _partials_top(terms: Terms) -> Powers:
+    """The highest exponent along each axis that a first partial of the terms uses.
+
+    Lowering x keeps the other two exponents, so the x exponent is used
+    whole when the term also depends on y or z, and lowered by one otherwise.
+    """
+    tx = ty = tz = 0
+    for (px, py, pz), _ in terms:
+        ex = px if py or pz else px - 1
+        ey = py if px or pz else py - 1
+        ez = pz if px or py else pz - 1
+        if ex > tx:
+            tx = ex
+        if ey > ty:
+            ty = ey
+        if ez > tz:
+            tz = ez
+    return tx, ty, tz
+
+
 def _power_tables(p: Vec3, top: Powers) -> tuple[list[float], list[float], list[float]]:
     """``x**k``, ``y**k`` and ``z**k`` for k up to ``top``, one table per axis.
 
@@ -107,13 +127,31 @@ def _eval_terms(terms: Terms, xs: list[float], ys: list[float], zs: list[float])
     return total
 
 
+def _grad_terms(
+    terms: Terms, xs: list[float], ys: list[float], zs: list[float]
+) -> tuple[float, float, float]:
+    # d/dx, d/dy and d/dz in one pass: each contribution is the lowered
+    # term of ``_lowered`` (coefficient ``coeff * e``) evaluated as
+    # ``_eval_terms`` would, left to right and in term order.
+    gx = gy = gz = 0.0
+    for (px, py, pz), coeff in terms:
+        if px:
+            gx += coeff * px * xs[px - 1] * ys[py] * zs[pz]
+        if py:
+            gy += coeff * py * xs[px] * ys[py - 1] * zs[pz]
+        if pz:
+            gz += coeff * pz * xs[px] * ys[py] * zs[pz - 1]
+    return gx, gy, gz
+
+
 class Poly(_Value):
     """Polynomial in x, y, z as a canonical, merged monomial list.
 
     ``terms`` maps each exponent triple to its coefficient; no triple
     repeats, zero coefficients are dropped, and the triples are sorted, so
     equal polynomials compare equal.  The constructor validates and
-    canonicalises; ``_trusted`` wraps terms that are already canonical.
+    canonicalises; ``_trusted`` wraps terms that are already canonical, and
+    ``_with_coeffs`` reuses these monomials with new coefficients.
     """
 
     __match_args__ = ("terms",)
@@ -155,6 +193,16 @@ class Poly(_Value):
         poly.__dict__["terms"] = terms
         return poly
 
+    def _with_coeffs(self, coeffs) -> "Poly":
+        """This polynomial's monomials with ``coeffs``, one per term in order.
+
+        Only the coefficients are checked (``float()`` in term order); a
+        zero one sends the terms through the constructor, which drops it.
+        """
+        cs = [float(c) for _, c in zip(self.terms, coeffs)]
+        terms = tuple([(p, c) for (p, _), c in zip(self.terms, cs)])
+        return Poly(terms) if 0.0 in cs else Poly._trusted(terms)
+
     @staticmethod
     def zero() -> "Poly":
         return Poly(())
@@ -176,9 +224,8 @@ class Poly(_Value):
         return Poly._trusted(_lowered(self.terms)[axis])
 
     def grad_at(self, p: Vec3) -> Vec3:
-        lowered = _lowered(self.terms)
-        xs, ys, zs = _power_tables(p, _top_powers(lowered))
-        return Vec3(*(_eval_terms(terms, xs, ys, zs) for terms in lowered))
+        xs, ys, zs = _power_tables(p, _partials_top(self.terms))
+        return _vec3(*_grad_terms(self.terms, xs, ys, zs))
 
     def __add__(self, other: "Poly") -> "Poly":
         return Poly(self.terms + other.terms)
@@ -187,7 +234,7 @@ class Poly(_Value):
         return self + (-1.0) * other
 
     def __mul__(self, s: float) -> "Poly":
-        return Poly(tuple([(p, c * s) for p, c in self.terms]))
+        return self._with_coeffs([c * s for _, c in self.terms])
 
     __rmul__ = __mul__
 
@@ -195,9 +242,9 @@ class Poly(_Value):
 class PolyField(_Value):
     """Vector field with polynomial components; derivatives are exact.
 
-    The Jacobian plan and the three partial fields are computed on first
-    use and kept in write-once memos that take no part in ``==``, ``hash``
-    or ``repr``.
+    The power-table sizes ``grad_gibbs`` needs, the Jacobian plan and the
+    three partial fields are computed on first use and kept in write-once
+    memos that take no part in ``==``, ``hash`` or ``repr``.
     """
 
     __match_args__ = ("components",)
@@ -210,19 +257,24 @@ class PolyField(_Value):
     def eval(self, x: Vec3) -> Vec3:
         terms = [c.terms for c in self.components]
         xs, ys, zs = _power_tables(x, _top_powers(terms))
-        return Vec3(*(_eval_terms(t, xs, ys, zs) for t in terms))
+        return _vec3(*[_eval_terms(t, xs, ys, zs) for t in terms])
 
     __call__ = eval
+
+    @cached_property
+    def _grad_top(self) -> Powers:
+        """The highest exponent along each axis that any first partial uses."""
+        tops = [_partials_top(c.terms) for c in self.components]
+        return tuple(map(max, *tops))
 
     @cached_property
     def _jacobian(self) -> tuple[tuple[tuple[Terms, Terms, Terms], ...], Powers]:
         """Jacobian plan: the terms of dv_j/dx_i at ``[0][i][j]``, top powers at ``[1]``.
 
         Entry (i, j) holds the terms of ``components[j].diff(i)``, in the
-        same order; ``grad_gibbs`` evaluates them over power tables.
+        same order; ``partial`` builds its fields from them.
         """
-        rows = tuple(zip(*(_lowered(c.terms) for c in self.components)))
-        return rows, _top_powers(terms for row in rows for terms in row)
+        return tuple(zip(*(_lowered(c.terms) for c in self.components))), self._grad_top
 
     @cached_property
     def _partials(self) -> tuple["PolyField", "PolyField", "PolyField"]:
@@ -294,9 +346,9 @@ def fd_grad(f, x: Vec3, step: float | None = None) -> Tensor3:
 def grad_gibbs(f: Field, x: Vec3) -> Tensor3:
     """Gradient with entry (i, j) = dv_j/dx_i (row i = derivative along axis i)."""
     if isinstance(f, PolyField):
-        rows, top = f._jacobian
-        xs, ys, zs = _power_tables(x, top)
-        return Tensor3([[_eval_terms(t, xs, ys, zs) for t in row] for row in rows])
+        xs, ys, zs = _power_tables(x, f._grad_top)
+        columns = [_grad_terms(c.terms, xs, ys, zs) for c in f.components]
+        return _tensor(tuple(zip(*columns)))
     return fd_grad(f, x)
 
 

@@ -8,12 +8,18 @@ table, and its grade-filtered copies for the dot and wedge products, are
 precomputed at import; the geometric, dot and wedge products are one
 kernel over those tables.  Every operation below is a pure function over
 immutable values.
+
+Public constructors validate and coerce what the caller passes.  A result
+whose every field is a float computed from other gibbskit values is built
+by the trusted builders ``_vec3`` and ``_mv``, which skip that work;
+scaling by a caller's scalar still goes through the constructor, because
+the scalar may be complex or a NumPy number.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import add, attrgetter, neg, sub
 
 __all__ = [
     "Vec3",
@@ -74,6 +80,12 @@ class _Value:
     fields named in ``_compared`` (all of them unless the subclass sets it),
     and ``==`` only holds between instances of the same class; ``repr``
     shows every field.
+
+    Public construction validates; a value computed by the library from
+    other gibbskit values is built without re-validation by a module-private
+    builder (``ga._vec3``, ``ga._mv``, ``dyadics._tensor``, ``Poly._trusted``),
+    which writes the already-checked fields into the ``__dict__`` of an
+    ``object.__new__`` instance.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -114,13 +126,13 @@ class Vec3(_Value):
         fields["z"] = float(z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+        return _vec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        return _vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
+        return _vec3(-self.x, -self.y, -self.z)
 
     def __mul__(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
@@ -131,7 +143,7 @@ class Vec3(_Value):
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
+        return _vec3(
             self.y * other.z - self.z * other.y,
             self.z * other.x - self.x * other.z,
             self.x * other.y - self.y * other.x,
@@ -146,9 +158,26 @@ class Vec3(_Value):
     @staticmethod
     def basis(i: int) -> "Vec3":
         """Unit vector e_i, i in {1, 2, 3}."""
-        if i not in (1, 2, 3):
-            raise ValueError(f"basis index must be 1, 2 or 3, got {i}")
-        return _BASIS[i - 1]
+        return _BASIS[_basis_index(i)]
+
+
+_new = object.__new__
+
+
+def _vec3(x: float, y: float, z: float) -> Vec3:
+    # Trusted builder: x, y and z must already be floats.
+    v = _new(Vec3)
+    fields = v.__dict__
+    fields["x"] = x
+    fields["y"] = y
+    fields["z"] = z
+    return v
+
+
+def _basis_index(i: int) -> int:
+    if i not in (1, 2, 3):
+        raise ValueError(f"basis index must be 1, 2 or 3, got {i}")
+    return i - 1
 
 
 _BASIS = (Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), Vec3(0.0, 0.0, 1.0))
@@ -188,16 +217,16 @@ class Multivector(_Value):
     @staticmethod
     def basis_vector(i: int) -> "Multivector":
         """e_i as a multivector, i in {1, 2, 3}."""
-        return Multivector.from_vec3(Vec3.basis(i))
+        return _MV_BASIS[_basis_index(i)]
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _mv(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _mv(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Multivector":
-        return Multivector([-a for a in self.coeffs])
+        return _mv(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -212,6 +241,16 @@ class Multivector(_Value):
 
     def __str__(self) -> str:
         return render_multivector(self)
+
+
+def _mv(coeffs: tuple[float, ...]) -> Multivector:
+    # Trusted builder: coeffs must already be a tuple of 8 floats.
+    m = _new(Multivector)
+    m.__dict__["coeffs"] = coeffs
+    return m
+
+
+_MV_BASIS = tuple(Multivector.from_vec3(e) for e in _BASIS)
 
 
 def _product(m: Multivector, n: Multivector, rows) -> Multivector:
@@ -230,7 +269,7 @@ def _product(m: Multivector, n: Multivector, rows) -> Multivector:
             if b == 0.0:
                 continue
             out[slot] += sign * a * b
-    return Multivector(out)
+    return _mv(tuple(out))
 
 
 def geometric_product(m: Multivector, n: Multivector) -> Multivector:
@@ -242,7 +281,7 @@ def grade(m: Multivector, k: int) -> Multivector:
     """Projection of m onto its grade-k part, 0 <= k <= 3."""
     if not isinstance(k, int) or k < 0 or k > 3:
         raise ValueError(f"grade must be an integer in 0..3, got {k!r}")
-    return Multivector([c if _GRADES[i] == k else 0.0 for i, c in enumerate(m.coeffs)])
+    return _mv(tuple([c if _GRADES[i] == k else 0.0 for i, c in enumerate(m.coeffs)]))
 
 
 def grades_present(m: Multivector) -> set[int]:
@@ -270,7 +309,8 @@ def scalar_part(m: Multivector) -> float:
 
 def vector_part(m: Multivector) -> Vec3:
     """Grade-1 coefficients as a Vec3 (other grades are ignored)."""
-    return Vec3(m.coeffs[1], m.coeffs[2], m.coeffs[3])
+    c = m.coeffs
+    return _vec3(c[1], c[2], c[3])
 
 
 def vector_dual(b: Multivector) -> Vec3:
@@ -284,12 +324,12 @@ def vector_dual(b: Multivector) -> Vec3:
             f"vector_dual needs a pure bivector, found grade(s) {sorted(bad)}"
         )
     c12, c13, c23 = b.coeffs[4], b.coeffs[5], b.coeffs[6]
-    return Vec3(c23, 0.0 - c13, c12)  # 0.0 - x avoids -0.0 components
+    return _vec3(c23, 0.0 - c13, c12)  # 0.0 - x avoids -0.0 components
 
 
 def dual_bivector(w: Vec3) -> Multivector:
     """Inverse of vector_dual: the bivector w1 e23 + w2 e31 + w3 e12."""
-    return Multivector((0.0, 0.0, 0.0, 0.0, w.z, -w.y, w.x, 0.0))
+    return _mv((0.0, 0.0, 0.0, 0.0, w.z, -w.y, w.x, 0.0))
 
 
 def format_number(c: float) -> str:

@@ -70,7 +70,7 @@ def nabla_wedge(f: Field, x: Vec3) -> Multivector:
 def nabla_wedge_of(g: Tensor3) -> Multivector:
     """nabla ^ v from the gradient G (entry (i, j) = dv_j/dx_i)."""
     r = g.rows
-    return Multivector(
+    return ga._mv(
         (
             0.0,
             0.0,

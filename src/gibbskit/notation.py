@@ -18,7 +18,8 @@ hazard is silent precedence, so the parser refuses to guess.
 `∇ ⊗ v` always evaluates to the postfactor-convention gradient; the
 transposed layout is only reachable by writing `(∇ ⊗ v)†` explicitly.
 Applying `∇` directly to a parenthesized scalar expression, as in
-`∇(dr · v)`, takes its gradient.
+`∇(dr · v)`, takes its gradient.  An expression nested more than
+``MAX_DEPTH`` levels deep is a parse error.
 """
 
 from __future__ import annotations
@@ -167,21 +168,22 @@ def tokenize(src: str) -> list[Token]:
             tokens.append(Token(_SYMBOL_KINDS[c], c, start))
             advance(1)
             continue
-        if c.isdigit():
+        # isdecimal, not isdigit: float() refuses digits such as '²'.
+        if c.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
+            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdecimal():
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j].isdecimal():
                     j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and src[k].isdecimal():
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j].isdecimal():
                         j += 1
             text = src[i:j]
             if not math.isfinite(float(text)):
@@ -266,11 +268,22 @@ APPLY = "apply"  # nabla applied to a scalar subexpression: gradient
 _PRODUCT_OPS = (DYAD, DOT, WEDGE, CROSS, STAR)
 _ADDITIVE_OPS = (PLUS, MINUS)
 
+# The deepest expression tree, and the deepest nesting of parentheses and
+# ∇(...), that the parser accepts.  The parser, render, evaluate and ==
+# recurse at most a few frames per level, so this keeps them well inside
+# the interpreter's recursion limit.  render opens at most one pair of
+# parentheses per tree level, so every rendering parses again.
+MAX_DEPTH = 100
+
 
 class _Parser:
+    # Each parse_* method returns its node and the depth of its tree, the
+    # number of operators on its longest path (0 for a leaf); ``nesting``
+    # counts the parentheses now open, including those of ∇(...).
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -287,24 +300,38 @@ class _Parser:
             raise ParseError(f"expected {what}, found {found}", tok.pos)
         return self.next()
 
-    def parse_expression(self) -> Expr:
-        node = self.parse_unary()
+    def deeper(self, depth: int, tok: Token) -> int:
+        """``depth + 1``, unless that passes MAX_DEPTH at ``tok``."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", tok.pos)
+        return depth + 1
+
+    def descend(self, tok: Token) -> None:
+        self.nesting = self.deeper(self.nesting, tok)
+
+    def parse_expression(self) -> tuple[Expr, int]:
+        node, depth = self.parse_unary()
         while self.peek().kind in _ADDITIVE_OPS:
             op_tok = self.next()
-            right = self.parse_unary()
+            right, right_depth = self.parse_unary()
+            depth = self.deeper(max(depth, right_depth), op_tok)
             node = Binary(op_tok.kind, node, right, pos=op_tok.pos)
-        return node
+        return node, depth
 
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == MINUS:
-            self.next()
-            operand = self.parse_unary()
-            return Unary("neg", operand, pos=tok.pos)
-        return self.parse_product()
+    def parse_unary(self) -> tuple[Expr, int]:
+        if self.peek().kind != MINUS:
+            return self.parse_product()
+        signs = []
+        while self.peek().kind == MINUS:
+            signs.append(self.next())
+        node, depth = self.parse_product()
+        for tok in reversed(signs):
+            depth = self.deeper(depth, tok)
+            node = Unary("neg", node, pos=tok.pos)
+        return node, depth
 
-    def parse_product(self) -> Expr:
-        node = self.parse_postfix()
+    def parse_product(self) -> tuple[Expr, int]:
+        node, depth = self.parse_postfix()
         chain_op: Token | None = None
         while self.peek().kind in _PRODUCT_OPS:
             op_tok = self.next()
@@ -316,36 +343,42 @@ class _Parser:
                     f"{OP_SYMBOL[op_tok.kind]!r}: parenthesize one of them",
                     op_tok.pos,
                 )
-            right = self.parse_postfix()
+            right, right_depth = self.parse_postfix()
+            depth = self.deeper(max(depth, right_depth), op_tok)
             node = Binary(op_tok.kind, node, right, pos=op_tok.pos)
-        return node
+        return node, depth
 
-    def parse_postfix(self) -> Expr:
-        node = self.parse_primary()
+    def parse_postfix(self) -> tuple[Expr, int]:
+        node, depth = self.parse_primary()
         while self.peek().kind == TRANSPOSE:
             tok = self.next()
+            depth = self.deeper(depth, tok)
             node = Unary("transpose", node, pos=tok.pos)
-        return node
+        return node, depth
 
-    def parse_primary(self) -> Expr:
+    def parse_parenthesized(self, open_tok: Token) -> tuple[Expr, int]:
+        self.descend(open_tok)
+        inner = self.parse_expression()
+        self.expect(RPAREN, "')'")
+        self.nesting -= 1
+        return inner
+
+    def parse_primary(self) -> tuple[Expr, int]:
         tok = self.next()
         if tok.kind == NUMBER:
-            return ScalarLit(float(tok.text), pos=tok.pos)
+            return ScalarLit(float(tok.text), pos=tok.pos), 0
         if tok.kind == IDENT:
-            return VectorRef(tok.text, pos=tok.pos)
+            return VectorRef(tok.text, pos=tok.pos), 0
         if tok.kind == NABLA:
-            node: Expr = Nabla(pos=tok.pos)
-            if self.peek().kind == LPAREN:
-                # Direct application: gradient of a scalar subexpression.
-                open_tok = self.next()
-                inner = self.parse_expression()
-                self.expect(RPAREN, "')'")
-                node = Binary(APPLY, node, inner, pos=open_tok.pos)
-            return node
+            if self.peek().kind != LPAREN:
+                return Nabla(pos=tok.pos), 0
+            # Direct application: gradient of a scalar subexpression.
+            open_tok = self.next()
+            inner, depth = self.parse_parenthesized(open_tok)
+            node = Binary(APPLY, Nabla(pos=tok.pos), inner, pos=open_tok.pos)
+            return node, self.deeper(depth, open_tok)
         if tok.kind == LPAREN:
-            inner = self.parse_expression()
-            self.expect(RPAREN, "')'")
-            return inner
+            return self.parse_parenthesized(tok)
         found = repr(tok.text) if tok.text else "end of input"
         raise ParseError(f"expected an operand, found {found}", tok.pos)
 
@@ -371,7 +404,7 @@ def _check_nabla_positions(node: Expr, allowed: bool) -> None:
 
 def parse_tokens(tokens: list[Token]) -> Expr:
     parser = _Parser(tokens)
-    node = parser.parse_expression()
+    node, _ = parser.parse_expression()
     parser.expect(EOF, "end of input")
     _check_nabla_positions(node, False)
     return node
@@ -403,7 +436,9 @@ def render(node: Expr) -> str:
             return f"-{_wrap(node.operand)}"
         return f"{_wrap(node.operand)}†"
     if node.op == APPLY:
-        return f"∇({render(node.right)})"
+        inner = render(node.right)
+        # "(x)" always lexes as the dyad operator.
+        return f"∇( {inner})" if inner == "x" else f"∇({inner})"
     return f"{_wrap(node.left)} {OP_SYMBOL[node.op]} {_wrap(node.right)}"
 
 
