@@ -306,9 +306,6 @@ class _Parser:
             raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", tok.pos)
         return depth + 1
 
-    def descend(self, tok: Token) -> None:
-        self.nesting = self.deeper(self.nesting, tok)
-
     def parse_expression(self) -> tuple[Expr, int]:
         node, depth = self.parse_unary()
         while self.peek().kind in _ADDITIVE_OPS:
@@ -357,7 +354,7 @@ class _Parser:
         return node, depth
 
     def parse_parenthesized(self, open_tok: Token) -> tuple[Expr, int]:
-        self.descend(open_tok)
+        self.nesting = self.deeper(self.nesting, open_tok)
         inner = self.parse_expression()
         self.expect(RPAREN, "')'")
         self.nesting -= 1
