@@ -309,8 +309,7 @@ def scalar_part(m: Multivector) -> float:
 
 def vector_part(m: Multivector) -> Vec3:
     """Grade-1 coefficients as a Vec3 (other grades are ignored)."""
-    c = m.coeffs
-    return _vec3(c[1], c[2], c[3])
+    return _vec3(m.coeffs[1], m.coeffs[2], m.coeffs[3])
 
 
 def vector_dual(b: Multivector) -> Vec3:
