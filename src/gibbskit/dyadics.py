@@ -53,9 +53,13 @@ class Tensor3(_Value):
         return self.rows[i - 1][j - 1]
 
     def row(self, i: int) -> Vec3:
+        if i not in (1, 2, 3):
+            raise ValueError(f"row index must be in 1..3, got {i}")
         return _vec3(*self.rows[i - 1])
 
     def column(self, j: int) -> Vec3:
+        if j not in (1, 2, 3):
+            raise ValueError(f"column index must be in 1..3, got {j}")
         r0, r1, r2 = self.rows
         return _vec3(r0[j - 1], r1[j - 1], r2[j - 1])
 

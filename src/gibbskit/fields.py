@@ -28,6 +28,7 @@ __all__ = [
     "Field",
     "FieldSpecError",
     "DEFAULT_FD_STEP",
+    "MAX_EXPONENT",
     "grad_gibbs",
     "grad_alt",
     "divergence",
@@ -39,6 +40,10 @@ __all__ = [
 
 DEFAULT_FD_STEP = 1e-5
 
+# The highest exponent a monomial may have.  Evaluation builds a table of
+# powers up to the highest exponent used, so this bounds its size.
+MAX_EXPONENT = 10_000
+
 Powers = tuple[int, int, int]
 
 Terms = tuple[tuple[Powers, float], ...]
@@ -47,26 +52,6 @@ Terms = tuple[tuple[Powers, float], ...]
 def _check_axis(axis) -> None:
     if isinstance(axis, bool) or not isinstance(axis, int) or axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
-
-
-def _lowered(terms: Terms) -> tuple[Terms, Terms, Terms]:
-    """The terms of d/dx, d/dy and d/dz of a polynomial, in one pass.
-
-    Entry ``axis`` holds ``(powers with exponent e lowered by one, coeff * e)``
-    for each term whose exponent e along ``axis`` is at least 1, in term
-    order.  Lowering the same exponent of every surviving term keeps
-    distinct triples distinct and in sorted order, and ``coeff * e`` is
-    non-zero for e >= 1, so canonical input gives canonical output.
-    """
-    dx, dy, dz = [], [], []
-    for (px, py, pz), coeff in terms:
-        if px:
-            dx.append(((px - 1, py, pz), coeff * px))
-        if py:
-            dy.append(((px, py - 1, pz), coeff * py))
-        if pz:
-            dz.append(((px, py, pz - 1), coeff * pz))
-    return tuple(dx), tuple(dy), tuple(dz)
 
 
 def _top_powers(term_lists) -> Powers:
@@ -130,8 +115,8 @@ def _eval_terms(terms: Terms, xs: list[float], ys: list[float], zs: list[float])
 def _grad_terms(
     terms: Terms, xs: list[float], ys: list[float], zs: list[float]
 ) -> tuple[float, float, float]:
-    # d/dx, d/dy and d/dz in one pass: each contribution is the lowered
-    # term of ``_lowered`` (coefficient ``coeff * e``) evaluated as
+    # d/dx, d/dy and d/dz in one pass: each contribution is the term that
+    # ``Poly.diff`` lowers it to (coefficient ``coeff * e``), evaluated as
     # ``_eval_terms`` would, left to right and in term order.
     gx = gy = gz = 0.0
     for (px, py, pz), coeff in terms:
@@ -175,6 +160,8 @@ class Poly(_Value):
             # type(e) is int also refuses bools and floats such as 1.5.
             if not (type(px) is type(py) is type(pz) is int and px >= 0 and py >= 0 and pz >= 0):
                 raise ValueError(f"monomial powers must be 3 non-negative ints: {powers!r}")
+            if px > MAX_EXPONENT or py > MAX_EXPONENT or pz > MAX_EXPONENT:
+                raise ValueError(f"monomial exponents must be at most {MAX_EXPONENT}: {powers!r}")
             c = float(coeff)
             if c == 0.0 or not prev < p:
                 canonical = False
@@ -217,11 +204,20 @@ class Poly(_Value):
     def diff(self, axis: int) -> "Poly":
         """Partial derivative along axis 0, 1 or 2 (x, y, z).
 
-        The lowered terms are already canonical (see ``_lowered``), so the
-        result skips the validating constructor.
+        Each term whose exponent e along ``axis`` is at least 1 becomes
+        ``(powers with e lowered by one, coeff * e)``, in term order.
+        Lowering the same exponent of every surviving term keeps distinct
+        triples distinct and in sorted order, and ``coeff * e`` is non-zero
+        for e >= 1, so the result is canonical and skips the validating
+        constructor.
         """
         _check_axis(axis)
-        return Poly._trusted(_lowered(self.terms)[axis])
+        lowered = []
+        for powers, coeff in self.terms:
+            e = powers[axis]
+            if e:
+                lowered.append((powers[:axis] + (e - 1,) + powers[axis + 1 :], coeff * e))
+        return Poly._trusted(tuple(lowered))
 
     def grad_at(self, p: Vec3) -> Vec3:
         xs, ys, zs = _power_tables(p, _partials_top(self.terms))
@@ -242,9 +238,9 @@ class Poly(_Value):
 class PolyField(_Value):
     """Vector field with polynomial components; derivatives are exact.
 
-    The power-table sizes ``grad_gibbs`` needs, the Jacobian plan and the
-    three partial fields are computed on first use and kept in write-once
-    memos that take no part in ``==``, ``hash`` or ``repr``.
+    Two write-once memos, computed on first use, take no part in ``==``,
+    ``hash`` or ``repr``: the power-table sizes ``grad_gibbs`` needs and
+    the three partial fields that ``partial`` returns.
     """
 
     __match_args__ = ("components",)
@@ -268,19 +264,8 @@ class PolyField(_Value):
         return tuple(map(max, *tops))
 
     @cached_property
-    def _jacobian(self) -> tuple[tuple[tuple[Terms, Terms, Terms], ...], Powers]:
-        """Jacobian plan: the terms of dv_j/dx_i at ``[0][i][j]``, top powers at ``[1]``.
-
-        Entry (i, j) holds the terms of ``components[j].diff(i)``, in the
-        same order; ``partial`` builds its fields from them.
-        """
-        return tuple(zip(*(_lowered(c.terms) for c in self.components))), self._grad_top
-
-    @cached_property
     def _partials(self) -> tuple["PolyField", "PolyField", "PolyField"]:
-        return tuple(
-            PolyField(tuple(Poly._trusted(terms) for terms in row)) for row in self._jacobian[0]
-        )
+        return tuple(PolyField(tuple(c.diff(i) for c in self.components)) for i in range(3))
 
     def partial(self, axis: int) -> "PolyField":
         """The field d v / d x_axis; polynomial fields are closed under this."""
@@ -391,7 +376,11 @@ def _parse_monomial(obj, pointer: str) -> tuple[Powers, float]:
     coeff = obj["coeff"]
     if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
         raise FieldSpecError("coeff must be a number", f"{pointer}/coeff")
-    if not math.isfinite(coeff):
+    try:
+        c = float(coeff)
+    except OverflowError:  # an integer too large for a float
+        c = math.inf
+    if not math.isfinite(c):
         raise FieldSpecError("coeff must be finite", f"{pointer}/coeff")
     powers = obj["powers"]
     if not isinstance(powers, list) or len(powers) != 3:
@@ -401,7 +390,10 @@ def _parse_monomial(obj, pointer: str) -> tuple[Powers, float]:
             raise FieldSpecError("exponent must be an integer", f"{pointer}/powers/{k}")
         if e < 0:
             raise FieldSpecError("exponent must be non-negative", f"{pointer}/powers/{k}")
-    return tuple(powers), float(coeff)
+        if e > MAX_EXPONENT:
+            message = f"exponent must be at most {MAX_EXPONENT}"
+            raise FieldSpecError(message, f"{pointer}/powers/{k}")
+    return tuple(powers), c
 
 
 def field_from_dict(obj) -> PolyField:
@@ -432,18 +424,21 @@ def field_from_dict(obj) -> PolyField:
 
 
 def _reject_constant(name: str):
-    raise FieldSpecError(f"not valid JSON: {name} is not a JSON number", "")
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load_field(path: str) -> PolyField:
     """Read a field-spec JSON file; schema problems raise FieldSpecError.
 
     ``NaN``, ``Infinity`` and ``-Infinity``, which Python's decoder accepts
-    but RFC 8259 does not, are refused like any other JSON syntax error.
+    but RFC 8259 does not, are refused like any other JSON syntax error, and
+    so is text the decoder cannot read (nesting deeper than the interpreter's
+    recursion limit, an integer literal longer than its digit limit).
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh, parse_constant=_reject_constant)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors too.
+        except (ValueError, RecursionError) as exc:
             raise FieldSpecError(f"not valid JSON: {exc}", "") from exc
     return field_from_dict(obj)

@@ -333,7 +333,8 @@ def dual_bivector(w: Vec3) -> Multivector:
 
 def format_number(c: float) -> str:
     """Shortest faithful rendering; integral values drop the '.0'."""
-    if c == int(c) and abs(c) < 1e16:
+    # The magnitude test comes first: int() refuses inf and nan.
+    if abs(c) < 1e16 and c == int(c):
         return str(int(c))
     return repr(c)
 
@@ -355,8 +356,9 @@ def render_multivector(m: Multivector, fmt=format_number) -> str:
             body = BLADE_NAMES[i]
         else:
             body = f"{mag} {BLADE_NAMES[i]}"
+        # The sign test is c < 0, so that nan takes no sign.
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(f"-{body}" if c < 0 else body)
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(parts) if parts else "0"

@@ -262,12 +262,11 @@ def test_unused_power_is_never_computed():
 
 def test_plan_is_memoized_and_matches_diff():
     f = rand_cubic(random.Random(21))
-    assert f._jacobian is f._jacobian
-    rows, top = f._jacobian
     for i in range(3):
+        assert f.partial(i) is f.partial(i)
         for j in range(3):
-            assert rows[i][j] == f.components[j].diff(i).terms
-    assert top == (2, 2, 2)
+            assert f.partial(i).components[j].terms == f.components[j].diff(i).terms
+    assert f._grad_top == (2, 2, 2)
 
 
 def test_plan_leaves_equality_hash_and_repr_unchanged():

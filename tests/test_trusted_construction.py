@@ -178,9 +178,11 @@ def test_field_results_match_validated_build(f, x):
     for c in f.components:
         assert bits(c.grad_at(x)) == bits(Vec3(*(c.diff(i).eval(x) for i in range(3))))
     assert bits(f.eval(x)) == bits(Vec3(*(c.eval(x) for c in f.components)))
-    # One fused pass, no plan; its power tables are sized as the plan's were.
-    assert "_jacobian" not in vars(f)
-    assert f._grad_top == fields._top_powers(t for row in f._jacobian[0] for t in row)
+    # One fused pass, no partial fields; its power tables stop at the
+    # highest power any lowered term uses.
+    assert "_partials" not in vars(f)
+    lowered = [c.diff(i).terms for c in f.components for i in range(3)]
+    assert f._grad_top == fields._top_powers(lowered)
 
 
 def test_gradient_tables_stop_at_the_highest_power_used():
