@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four commands share one flag vocabulary:
+Four commands, each taking only the flags it reads:
 
     eval         evaluate a notation expression against a field at a point
     kinematics   full report (gradients, d, omega, bivector, vorticity, ...)
@@ -25,8 +25,8 @@ import os
 import sys
 
 from . import kinematics, notation
-from .dyadics import Tensor3, antisym, render_matrix, transpose
-from .fields import FieldSpecError, PolyField, grad_gibbs, load_field
+from .dyadics import antisym, render_matrix, transpose
+from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, grad_gibbs, load_field
 from .ga import Vec3, render_multivector
 
 EXIT_OK = 0
@@ -34,6 +34,11 @@ EXIT_CONFIG = 1
 EXIT_FIELD_SPEC = 2
 EXIT_EXPRESSION = 3
 EXIT_CHECK_FAILED = 4
+
+
+# The characters ``str.splitlines`` breaks on, each mapped to its escape,
+# so that a message quoting a key or a path stays one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 class _CliError(Exception):
@@ -86,10 +91,6 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _fmt_vec(v: Vec3) -> str:
-    return f"({_fmt(v.x)}, {_fmt(v.y)}, {_fmt(v.z)})"
-
-
 def _finite_float(raw: str, positive: bool = False) -> float:
     """argparse type: a finite number, and > 0 when ``positive``."""
     try:
@@ -115,16 +116,13 @@ def _binding(raw: str) -> tuple[str, Vec3]:
     return name, Vec3(*(_finite_float(p) for p in parts))
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_field: bool) -> None:
-    p.add_argument("--field", dest="field_path", required=needs_field, metavar="PATH",
+def _add_common(p: argparse.ArgumentParser, *, needs_point: bool = False) -> None:
+    p.add_argument("--field", dest="field_path", required=True, metavar="PATH",
                    help="field-spec JSON file")
-    p.add_argument("--point", nargs=3, type=_finite_float, metavar=("X", "Y", "Z"),
+    p.add_argument("--point", nargs=3, type=_finite_float, required=needs_point,
+                   default=(0.0, 0.0, 0.0), metavar=("X", "Y", "Z"),
                    help="evaluation point")
-    p.add_argument("--bind", action="append", type=_binding, default=[],
-                   metavar="NAME=X,Y,Z", help="bind a constant vector (repeatable)")
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--fd-step", type=_fd_step, default=None, metavar="H",
-                   help="step for numerical gradients (default 1e-5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,34 +130,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
-    _add_common(p_eval, needs_field=True)
-    p_eval.add_argument("expression", nargs="?", help="expression text")
-    p_eval.add_argument("--script", metavar="PATH",
+    _add_common(p_eval)
+    p_eval.add_argument("--bind", action="append", type=_binding, default=[],
+                        metavar="NAME=X,Y,Z", help="bind a constant vector (repeatable)")
+    p_eval.add_argument("--fd-step", type=_fd_step, default=DEFAULT_FD_STEP, metavar="H",
+                        help="step for numerical gradients (default %(default)g)")
+    source = p_eval.add_mutually_exclusive_group(required=True)
+    source.add_argument("--script", metavar="PATH",
                         help="file with one expression per line")
+    source.add_argument("expression", nargs="?", help="expression text")
 
     p_kin = sub.add_parser("kinematics", help="full kinematics report")
-    _add_common(p_kin, needs_field=True)
+    _add_common(p_kin, needs_point=True)
 
     p_con = sub.add_parser("conventions", help="compare gradient layouts")
-    _add_common(p_con, needs_field=True)
+    _add_common(p_con)
 
     p_chk = sub.add_parser("check", help="run the invariant suite")
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--output", choices=("text", "json"), default="text")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Apply the rules that span several arguments; returns ``args``."""
-    if args.command == "kinematics" and args.point is None:
-        raise _CliError("kinematics requires --point", EXIT_CONFIG)
-    if args.command == "eval" and (args.expression is None) == (args.script is None):
-        raise _CliError("eval needs an expression or --script (not both)", EXIT_CONFIG)
-    return args
-
-
-def _point(args: argparse.Namespace) -> Vec3:
-    return Vec3(*args.point) if args.point is not None else Vec3(0.0, 0.0, 0.0)
 
 
 def _load_field(args: argparse.Namespace) -> PolyField:
@@ -169,15 +159,6 @@ def _load_field(args: argparse.Namespace) -> PolyField:
         raise _CliError(f"{args.field_path}: {exc}", EXIT_FIELD_SPEC)
     except OSError as exc:
         raise _CliError(f"cannot read field file: {exc}", EXIT_CONFIG)
-
-
-def _write_json(out, payload) -> None:
-    """Write ``payload`` as strict RFC 8259 JSON, or nothing if it cannot be."""
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise _CliError(f"cannot write JSON: a result is not finite ({exc})", EXIT_CONFIG)
-    out.write(text + "\n")
 
 
 def _value_to_json(val: notation.Value):
@@ -198,16 +179,21 @@ def _value_to_text(val: notation.Value) -> str:
     if kind == "scalar":
         return _fmt(val)
     if kind == "vector":
-        return _fmt_vec(val)
+        return f"({', '.join(map(_fmt, val.as_tuple()))})"
     if kind == "tensor":
         return render_matrix(val)
     return render_multivector(val, fmt=_fmt)
 
 
-def _run_eval(args: argparse.Namespace, out) -> int:
+def _titled(title: str, val: notation.Value) -> str:
+    """``title: value``; a matrix starts on the line after its title."""
+    sep = "\n" if notation.value_kind(val) == "tensor" else " "
+    return f"{title}:{sep}{_value_to_text(val)}"
+
+
+def _run_eval(args: argparse.Namespace):
     f = _load_field(args)
-    step = args.fd_step if args.fd_step is not None else 1e-5
-    ctx = notation.EvalContext(f, _point(args), dict(args.bind), fd_step=step)
+    ctx = notation.EvalContext(f, Vec3(*args.point), dict(args.bind), fd_step=args.fd_step)
     if args.script is not None:
         try:
             with open(args.script, "r", encoding="utf-8") as fh:
@@ -220,121 +206,108 @@ def _run_eval(args: argparse.Namespace, out) -> int:
         values = [notation.evaluate(notation.parse(src), ctx) for src in sources]
     except notation.NotationError as exc:
         raise _CliError(f"expression error: {exc}", EXIT_EXPRESSION)
-    if args.output == "json":
-        results = [
-            {"expression": src, **_value_to_json(val)}
-            for src, val in zip(sources, values)
-        ]
-        _write_json(out, results[0] if args.script is None else results)
-    else:
-        for val in values:
-            out.write(_value_to_text(val) + "\n")
-    return EXIT_OK
+    results = [{"expression": src, **_value_to_json(val)} for src, val in zip(sources, values)]
+    payload = results[0] if args.script is None else results
+    return EXIT_OK, payload, [_value_to_text(val) for val in values]
 
 
-def _run_kinematics(args: argparse.Namespace, out) -> int:
+def _run_kinematics(args: argparse.Namespace):
     f = _load_field(args)
-    rep = kinematics.report(f, _point(args))
-    if args.output == "json":
-        _write_json(out, rep.to_dict())
-        return EXIT_OK
-    out.write(f"point: {_fmt_vec(rep.point)}\n")
-    sections = (
+    rep = kinematics.report(f, Vec3(*args.point))
+    return EXIT_OK, rep.to_dict(), [_titled(title, val) for title, val in (
+        ("point", rep.point),
         ("gradient (postfactor layout, row i = d/dx_i)", rep.grad_gibbs),
         ("gradient transpose (alternative layout)", rep.grad_alt),
         ("rate of strain d", rep.d),
         ("rate of rotation omega (postfactor)", rep.omega),
-    )
-    for title, tensor in sections:
-        out.write(f"{title}:\n{render_matrix(tensor)}\n")
-    out.write(f"omega bivector: {render_multivector(rep.omega_bivector, fmt=_fmt)}\n")
-    out.write(f"vorticity: {_fmt_vec(rep.vorticity)}\n")
-    out.write(f"divergence: {_fmt(rep.divergence)}\n")
-    return EXIT_OK
+        ("omega bivector", rep.omega_bivector),
+        ("vorticity", rep.vorticity),
+        ("divergence", rep.divergence),
+    )]
 
 
-def _side_by_side(left: Tensor3, right: Tensor3) -> str:
-    lt = render_matrix(left).splitlines()
-    rt = render_matrix(right).splitlines()
-    return "\n".join(f"{a}    |{b}" for a, b in zip(lt, rt))
-
-
-def _run_conventions(args: argparse.Namespace, out) -> int:
+def _run_conventions(args: argparse.Namespace):
     f = _load_field(args)
-    point = _point(args)
+    point = Vec3(*args.point)
     g = grad_gibbs(f, point)
     a = transpose(g)
+    difference = g - a
     omega = antisym(g)
-    if args.output == "json":
-        payload = {
-            "point": list(point.as_tuple()),
-            "grad_gibbs": g.to_lists(),
-            "grad_alt": a.to_lists(),
-            "difference": (g - a).to_lists(),
-            "omega_postfactor": omega.to_lists(),
-            "omega_prefactor": transpose(omega).to_lists(),
-        }
-        _write_json(out, payload)
-        return EXIT_OK
-    out.write(f"point: {_fmt_vec(point)}\n")
-    out.write(f"gradient, postfactor layout:\n{render_matrix(g)}\n")
-    out.write(f"gradient, alternative (transposed) layout:\n{render_matrix(a)}\n")
-    out.write(f"difference:\n{render_matrix(g - a)}\n")
-    out.write("rotation tensor: postfactor form    | prefactor form (transpose):\n")
-    out.write(_side_by_side(omega, transpose(omega)) + "\n")
-    return EXIT_OK
+    prefactor = transpose(omega)
+    payload = {
+        "point": list(point.as_tuple()),
+        "grad_gibbs": g.to_lists(),
+        "grad_alt": a.to_lists(),
+        "difference": difference.to_lists(),
+        "omega_postfactor": omega.to_lists(),
+        "omega_prefactor": prefactor.to_lists(),
+    }
+    lines = [_titled(title, val) for title, val in (
+        ("point", point),
+        ("gradient, postfactor layout", g),
+        ("gradient, alternative (transposed) layout", a),
+        ("difference", difference),
+    )]
+    lines.append("rotation tensor: postfactor form    | prefactor form (transpose):")
+    pairs = zip(*(_value_to_text(t).splitlines() for t in (omega, prefactor)))
+    lines += [f"{post}    |{pre}" for post, pre in pairs]
+    return EXIT_OK, payload, lines
 
 
-def _run_check(args: argparse.Namespace, out) -> int:
+def _run_check(args: argparse.Namespace):
     from . import checks
 
     results = checks.run_all(args.seed)
     failed = sum(1 for r in results if not r.passed)
-    if args.output == "json":
-        payload = {
-            "seed": args.seed,
-            "passed": len(results) - failed,
-            "failed": failed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "cases": r.cases, "detail": r.detail}
-                for r in results
-            ],
-        }
-        _write_json(out, payload)
-    else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            out.write(f"{status}  {r.name:<{width}}  ({r.cases} cases; {r.detail})\n")
-        out.write(f"check: {len(results) - failed} passed, {failed} failed (seed {args.seed})\n")
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+    payload = {
+        "seed": args.seed,
+        "passed": len(results) - failed,
+        "failed": failed,
+        "checks": [
+            {"name": r.name, "passed": r.passed, "cases": r.cases, "detail": r.detail}
+            for r in results
+        ],
+    }
+    width = max(len(r.name) for r in results)
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  ({r.cases} cases; {r.detail})"
+        for r in results
+    ]
+    lines.append(f"check: {len(results) - failed} passed, {failed} failed (seed {args.seed})")
+    return (EXIT_OK if failed == 0 else EXIT_CHECK_FAILED), payload, lines
+
+
+# Each command returns (exit status, JSON payload, text lines).
+COMMANDS = {
+    "eval": _run_eval,
+    "kinematics": _run_kinematics,
+    "conventions": _run_conventions,
+    "check": _run_check,
+}
 
 
 def run(args: argparse.Namespace, out=None) -> int:
     """Execute a parsed command line; returns the exit status."""
-    out = out if out is not None else sys.stdout
     try:
-        if args.command == "eval":
-            return _run_eval(args, out)
-        if args.command == "kinematics":
-            return _run_kinematics(args, out)
-        if args.command == "conventions":
-            return _run_conventions(args, out)
+        code, payload, lines = COMMANDS[args.command](args)
     except OverflowError as exc:
         raise _CliError(f"numeric overflow while evaluating the field: {exc}", EXIT_CONFIG)
-    if args.command == "check":
-        return _run_check(args, out)
-    raise _CliError(f"unknown command {args.command!r}", EXIT_CONFIG)
+    if args.output == "json":
+        try:
+            lines = [json.dumps(payload, indent=2, allow_nan=False)]
+        except ValueError as exc:
+            raise _CliError(f"cannot write JSON: a result is not finite ({exc})", EXIT_CONFIG)
+    (out if out is not None else sys.stdout).write("".join(line + "\n" for line in lines))
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        code = run(_config_from_args(parser.parse_args(argv)))
+        code = run(build_parser().parse_args(argv))
         sys.stdout.flush()
         return code
     except _CliError as exc:
-        print(str(exc), file=sys.stderr)
+        print(str(exc).translate(_LINE_BREAKS), file=sys.stderr)
         return exc.code
     except BrokenPipeError:
         # The reader closed stdout.  Python flushes stdout again at exit, so

@@ -32,7 +32,7 @@ from . import ga
 from .dyadics import (
     Tensor3, antisym, dyad, max_abs, postfactor, prefactor, sym, trace, transpose,
 )
-from .fields import Field, _check_fd_step, grad_gibbs
+from .fields import DEFAULT_FD_STEP, Field, _check_fd_step, grad_gibbs
 from .ga import Multivector, Vec3, _Value
 from .kinematics import nabla_wedge_of
 
@@ -471,7 +471,7 @@ class EvalContext(_Value):
         field: Field,
         point: Vec3,
         bindings: Mapping[str, Vec3] | None = None,
-        fd_step: float = 1e-5,
+        fd_step: float = DEFAULT_FD_STEP,
     ) -> None:
         _check_fd_step(fd_step)
         fields = self.__dict__

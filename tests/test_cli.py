@@ -1,6 +1,8 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +23,7 @@ def run_cli(args):
     parser = cli.build_parser()
     try:
         ns = parser.parse_args(args)
-        cfg = cli._config_from_args(ns)
-        code = cli.run(cfg, out)
+        code = cli.run(ns, out)
     except cli._CliError as exc:
         return exc.code, out.getvalue(), str(exc)
     return code, out.getvalue(), ""
@@ -505,3 +506,65 @@ def test_module_closed_stdout_exit_1_without_traceback():
         os.close(write_end)
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
+
+
+# --- one line per message; each command takes only the flags it reads ---------------
+
+
+def run_main(argv):
+    """``cli.main`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("key", ["a\nb", "a\rb", "a\u2028b", "a\r\nb", "a\x85b"])
+def test_line_break_in_field_key_is_one_line_exit_2(tmp_path, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "polynomial", "components": [], key: 1}))
+    code, out, err = run_main(["kinematics", "--field", str(bad), "--point", "0", "0", "0"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert f"(at /{repr(key)[1:-1]})" in err
+
+
+def test_line_break_in_field_path_is_one_line(tmp_path):
+    bad = tmp_path / "a\nb.json"
+    bad.write_text(json.dumps({"type": "polynomial", "components": [], "k": 1}))
+    for path, want in ((bad, 2), (tmp_path / "missing\n.json", 1)):
+        code, out, err = run_main(["kinematics", "--field", str(path), "--point", "0", "0", "0"])
+        assert (code, out) == (want, "")
+        assert len(err.splitlines()) == 1 and "\\n" in err
+
+
+FLAGS_READ = {
+    "eval": {"--field", "--point", "--bind", "--output", "--fd-step", "--script"},
+    "kinematics": {"--field", "--point", "--output"},
+    "conventions": {"--field", "--point", "--output"},
+    "check": {"--seed", "--output"},
+}
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("command", sorted(FLAGS_READ))
+def test_help_exits_0_and_lists_the_flags_read(monkeypatch, capsys, command, columns):
+    # argparse wraps the usage to the terminal width; eval's usage holds a
+    # mutually exclusive group with a positional, which is formatted
+    # differently when wrapped.
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == FLAGS_READ[command]
+    assert ("expression" in usage) == (command == "eval")
+
+
+@pytest.mark.parametrize("command", ["kinematics", "conventions"])
+@pytest.mark.parametrize("flag", [["--bind", "dr=0,1,0"], ["--fd-step", "1e-3"]])
+def test_eval_only_flags_are_refused_by_other_commands(command, flag):
+    args = [command, "--field", str(FIELDS / "shear.json"), "--point", "0", "0", "0", *flag]
+    code, out, err = run_main(args)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and flag[0] in err
