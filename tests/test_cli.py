@@ -519,7 +519,11 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("key", ["a\nb", "a\rb", "a\u2028b", "a\r\nb", "a\x85b"])
+# Every character that str.splitlines breaks on; none lies above U+2029.
+LINE_BREAKS = [c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) == 2]
+
+
+@pytest.mark.parametrize("key", [f"a{c}b" for c in LINE_BREAKS] + ["a\r\nb"])
 def test_line_break_in_field_key_is_one_line_exit_2(tmp_path, key):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "polynomial", "components": [], key: 1}))
