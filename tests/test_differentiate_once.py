@@ -11,7 +11,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gibbskit import EvalContext, Poly, PolyField, Vec3, evaluate, parse
 from gibbskit import fields, kinematics, notation
@@ -132,6 +132,7 @@ def raw_terms(draw):
     return tuple(order)
 
 
+@settings(deadline=None)
 @given(raw_terms(), st.sampled_from([0, 1, 2]))
 def test_diff_is_canonical(terms, axis):
     p = Poly(terms)
