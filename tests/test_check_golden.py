@@ -31,16 +31,16 @@ def test_check_seed0_stdout_is_byte_identical(capsys):
 # sha256 of `gibbskit check --seed N` stdout.  Seed 1 does not show the
 # 3.12 `sum` difference.
 CHECK_DIGESTS = {
-    1: "d8bed74a44e9a54000a58009f8bf0c93a212fcc4a1dee10bca9e1e6c975444f8",
+    1: "99b11d8b1243eb4ba5f564645331e46f82a5c494160d1bce1f59e8b25cc84101",
     2: (
-        "f300218b8649414128df031458c0c11c302382f0354301ae28b540719f3158e8"
+        "5b12c9af5203420054d2d94666912aa6040b511009235511dbe9df0533e4bc17"
         if sys.version_info >= (3, 12)
-        else "50f6a4b5c20ca0e1204ed159346505bbc7a2a140c9218587cf950b2070dd8b19"
+        else "04770e49cfcfdfa5d4b1a08492ae1b5d79812ea9bc9921c42356dbe21a407f64"
     ),
     3: (
-        "ec1c8bc6d979ef20b619c6d645d1fd20872405c419aa2545d41550e7a4b6ab39"
+        "11af1dfd6c1e9fdbccb8ac298f7599c939c2f61a4157d80904bca622c59a06a6"
         if sys.version_info >= (3, 12)
-        else "e7a5c41e15ff80d9ba7c89f95190c8ef2be5a8860a91cdb170cc84fde28b4398"
+        else "0073bb18541b46ea9474129cb0e462aa98fc487d37d131a08a2cb81f25fe3bc7"
     ),
 }
 
