@@ -133,11 +133,6 @@ def _tensor_err(s: Tensor3, t: Tensor3) -> float:
     return _max([abs(a - b) for rs, rt in zip(s.rows, t.rows) for a, b in zip(rs, rt)])
 
 
-def _exact(holds: bool) -> float:
-    # A bit-exact property as an error that _bounded can read.
-    return 0.0 if holds else math.inf
-
-
 # Steps of the two fitted-order checks.  At h = 0.1 the h^3 term of a
 # cubic's Taylor remainder still competes with the h^2 term and pulls the
 # fitted order of a correct gradient below 1.9.
@@ -358,13 +353,14 @@ def _decomposition(rng: random.Random, n: int):
     d, omega = sym(g), antisym(g)
     yield _tensor_err(d + omega, g) / max(1.0, max_abs(g))
     r = g.rows
-    yield _exact(
+    exact = (
         d.rows == transpose(d).rows
         and omega.rows == transpose(-omega).rows
         and omega.entry(1, 2) == 0.5 * (r[0][1] - r[1][0])
         and omega.entry(1, 3) == -(0.5 * (r[2][0] - r[0][2]))
         and omega.entry(2, 3) == 0.5 * (r[1][2] - r[2][1])
     )
+    yield 0.0 if exact else math.inf
 
 
 def _omega_vs_bivector(rng: random.Random, n: int):

@@ -572,3 +572,10 @@ def test_eval_only_flags_are_refused_by_other_commands(command, flag):
     code, out, err = run_main(args)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and flag[0] in err
+
+
+def test_eval_expression_starting_with_minus_follows_double_dash():
+    args = ["eval", "--field", str(FIELDS / "dilation.json"), "--point", "1", "1", "1"]
+    assert run_main([*args, "--", "-v"]) == (0, "(-1, -1, -1)\n", "")
+    code, out, err = run_main([*args, "-v"])
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
