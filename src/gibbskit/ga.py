@@ -204,7 +204,7 @@ class Multivector(_Value):
 
     @staticmethod
     def zero() -> "Multivector":
-        return Multivector((0.0,) * 8)
+        return _mv((0.0,) * 8)
 
     @staticmethod
     def scalar(s: float) -> "Multivector":
