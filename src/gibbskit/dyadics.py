@@ -149,8 +149,20 @@ def identity() -> Tensor3:
     return Tensor3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
+def _nan_max(values: list[float]) -> float:
+    """Largest of some non-negative floats, nan if any of them is nan.
+
+    The builtin max keeps a nan only in first place.  A sum of non-negative
+    floats is nan exactly when one of them is, and costs less than a test
+    per value.
+    """
+    total = sum(values)
+    return total if total != total else max(values)
+
+
 def max_abs(t: Tensor3) -> float:
-    return max(abs(v) for r in t.rows for v in r)
+    """Largest |entry|; nan if any entry is nan."""
+    return _nan_max([abs(v) for r in t.rows for v in r])
 
 
 def render_matrix(t: Tensor3, digits: int = 6, width: int = 12) -> str:

@@ -250,7 +250,12 @@ def _mv(coeffs: tuple[float, ...]) -> Multivector:
     return m
 
 
-_MV_BASIS = tuple(Multivector.from_vec3(e) for e in _BASIS)
+def _mv_vec(v: Vec3) -> Multivector:
+    # Trusted grade-1 builder: a Vec3 holds floats already.
+    return _mv((0.0, v.x, v.y, v.z, 0.0, 0.0, 0.0, 0.0))
+
+
+_MV_BASIS = tuple(map(_mv_vec, _BASIS))
 
 
 def _product(m: Multivector, n: Multivector, rows) -> Multivector:

@@ -94,11 +94,6 @@ def vorticity(f: Field, x: Vec3) -> Vec3:
     return ga.vector_dual(nabla_wedge(f, x))
 
 
-def _vector(v: Vec3) -> Multivector:
-    # A Vec3 holds floats already, so the trusted builder skips re-validation.
-    return ga._mv((0.0, v.x, v.y, v.z, 0.0, 0.0, 0.0, 0.0))
-
-
 def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
     """Split dv into dx (div v) plus the compression-insensitive remainder.
 
@@ -112,11 +107,11 @@ def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
 def strain_split_of(g: Tensor3, dx: Vec3) -> tuple[Vec3, Vec3]:
     """strain_split from the gradient G."""
     compressive = trace(g) * dx
-    dxm = _vector(dx)
+    dxm = ga._mv_vec(dx)
     acc = Multivector.zero()
     for i in (1, 2, 3):
         e_i = Multivector.basis_vector(i)
-        acc = acc + ga.dot(e_i, ga.wedge(dxm, _vector(g.row(i))))
+        acc = acc + ga.dot(e_i, ga.wedge(dxm, ga._mv_vec(g.row(i))))
     return compressive, ga.vector_part(acc)
 
 
@@ -131,10 +126,10 @@ def bidi_forward(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 def bidi_forward_of(g: Tensor3, dx: Vec3) -> Vec3:
     """bidi_forward from the gradient G, whose row i is d_i v."""
-    dxm = _vector(dx)
+    dxm = ga._mv_vec(dx)
     acc = Multivector.zero()
     for i in (1, 2, 3):
-        acc = acc + Multivector.basis_vector(i) * dxm * _vector(g.row(i))
+        acc = acc + Multivector.basis_vector(i) * dxm * ga._mv_vec(g.row(i))
     return ga.vector_part(ga.grade(acc, 1))
 
 
@@ -148,10 +143,10 @@ def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 def bidi_reverse_of(g: Tensor3, dx: Vec3) -> Vec3:
     """bidi_reverse from the gradient G, whose row i is d_i v."""
-    dxm = _vector(dx)
+    dxm = ga._mv_vec(dx)
     acc = Multivector.zero()
     for i in (1, 2, 3):
-        acc = acc + dxm * _vector(g.row(i)) * Multivector.basis_vector(i)
+        acc = acc + dxm * ga._mv_vec(g.row(i)) * Multivector.basis_vector(i)
     return ga.vector_part(ga.grade(acc, 1))
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -123,6 +124,10 @@ def test_trace_and_max_abs():
     t = Tensor3(((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, -9.0)))
     assert trace(t) == -3.0
     assert max_abs(t) == 9.0
+    # The builtin max keeps a nan only in first place.
+    nan_late = Tensor3(((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, math.nan)))
+    assert math.isnan(max_abs(nan_late))
+    assert max_abs(Tensor3(((1.0, -math.inf, 3.0),) * 3)) == math.inf
 
 
 def test_render_matrix_shape():

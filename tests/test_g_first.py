@@ -80,40 +80,40 @@ def grad_calls(monkeypatch):
     return calls
 
 
-def run_check(name):
-    return dict(checks._CHECKS)[name](random.Random(1))
+def row(name):
+    return dict(checks._CHECKS)[name]
 
 
-# Test id -> check name.
+# Test id -> the check: a row of the table where a _check_* function was removed.
 ONE_G_PER_CASE = {
-    "_check_decomposition": "kinematics: gradient decomposition d + Ω",
-    "_check_omega_vs_bivector": "kinematics: Ω action equals bivector contraction",
-    "_check_strain_split": "kinematics: compressive + incompressive = dv",
-    "_check_symmetric_split": "kinematics: symmetric divergence split",
-    "_check_antisymmetric_split": "kinematics: antisymmetric divergence split",
-    "_check_vector_calculus_forms": "kinematics: vector-calculus forms of d and Ω",
-    "_check_report_consistency": "kinematics: report fields mutually consistent",
-    "_check_incompressible_bidi": "kinematics: divergence-free bidi relations",
+    "_check_decomposition": row("kinematics: gradient decomposition d + Ω"),
+    "_check_omega_vs_bivector": row("kinematics: Ω action equals bivector contraction"),
+    "_check_strain_split": row("kinematics: compressive + incompressive = dv"),
+    "_check_symmetric_split": row("kinematics: symmetric divergence split"),
+    "_check_antisymmetric_split": row("kinematics: antisymmetric divergence split"),
+    "_check_vector_calculus_forms": row("kinematics: vector-calculus forms of d and Ω"),
+    "_check_report_consistency": checks._check_report_consistency,
+    "_check_incompressible_bidi": row("kinematics: divergence-free bidi relations"),
 }
 
 
 @pytest.mark.parametrize("name", ONE_G_PER_CASE)
 def test_check_computes_g_once_per_case(grad_calls, name):
-    passed, cases, _ = run_check(ONE_G_PER_CASE[name])
+    passed, cases, _ = ONE_G_PER_CASE[name](random.Random(1))
     assert passed
     assert len(grad_calls) == cases
 
 
 def test_convention_duality_computes_g_twice_per_case(grad_calls):
     # It compares grad_alt itself against transpose(grad_gibbs).
-    passed, cases, _ = run_check("fields: grad_alt is the transpose of grad_gibbs")
+    passed, cases, _ = checks._check_convention_duality(random.Random(1))
     assert passed
     assert len(grad_calls) == 2 * cases
 
 
 def test_notation_golden_computes_g_at_most_twice_per_case(grad_calls):
     # One G for the evaluation context, one for the library side.
-    passed, cases, _ = run_check("notation: evaluator matches library calls")
+    passed, cases, _ = checks._check_notation_golden(random.Random(1))
     assert passed
     assert len(grad_calls) <= 2 * cases
 

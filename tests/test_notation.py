@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -286,6 +287,16 @@ def test_audit_convention_verdicts():
     assert audit_convention(anything, radial, x).verdict == "symmetric-ambiguous"
     scrambled = Tensor3(((7.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     assert audit_convention(scrambled, f, x).verdict == "neither"
+
+
+def test_audit_convention_nan_matches_neither():
+    f = shear_field(1.0)
+    x = ORIGIN
+    rows = [list(r) for r in grad_gibbs(f, x).rows]
+    rows[2][2] = math.nan
+    res = audit_convention(Tensor3(rows), f, x)
+    assert res.verdict == "neither"
+    assert math.isnan(res.max_abs_deviation_gibbs)
 
 
 def test_audit_result_json_shape():
