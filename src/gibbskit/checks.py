@@ -143,10 +143,6 @@ def _fit_slope(errs: list[float]) -> float:
     return num / den
 
 
-def _worst(label: str, err: float) -> str:
-    return f"max {label} {err:.2e}"
-
-
 # ---------------------------------------------------------------------------
 # the two loops: largest error against a bound, smallest fitted order
 
@@ -162,9 +158,9 @@ def _bounded(case: Callable, cases: int, bound: float, label: str) -> Callable:
         for n in range(cases):
             for err in case(rng, n):
                 if not math.isfinite(err):
-                    return False, n + 1, _worst(label, err)
+                    return False, n + 1, f"max {label} {err:.2e}"
                 worst = max(worst, err)
-        return worst <= bound, cases, _worst(label, worst)
+        return worst <= bound, cases, f"max {label} {worst:.2e}"
 
     return check
 

@@ -150,12 +150,8 @@ def identity() -> Tensor3:
 
 
 def _nan_max(values: list[float]) -> float:
-    """Largest of some non-negative floats, nan if any of them is nan.
-
-    The builtin max keeps a nan only in first place.  A sum of non-negative
-    floats is nan exactly when one of them is, and costs less than a test
-    per value.
-    """
+    # max of non-negative floats, or nan if one is nan: the builtin max keeps
+    # a nan only in first place, and their sum is nan exactly when one is.
     total = sum(values)
     return total if total != total else max(values)
 
