@@ -287,16 +287,9 @@ def test_audit_convention_verdicts():
     assert audit_convention(anything, radial, x).verdict == "symmetric-ambiguous"
     scrambled = Tensor3(((7.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     assert audit_convention(scrambled, f, x).verdict == "neither"
-
-
-def test_audit_convention_nan_matches_neither():
-    f = shear_field(1.0)
-    x = ORIGIN
-    rows = [list(r) for r in grad_gibbs(f, x).rows]
-    rows[2][2] = math.nan
-    res = audit_convention(Tensor3(rows), f, x)
-    assert res.verdict == "neither"
-    assert math.isnan(res.max_abs_deviation_gibbs)
+    with_nan = [list(r) for r in g.rows]
+    with_nan[2][2] = math.nan
+    assert audit_convention(Tensor3(with_nan), f, x).verdict == "neither"
 
 
 def test_audit_result_json_shape():
