@@ -27,7 +27,7 @@ import sys
 from . import kinematics, notation
 from .dyadics import antisym, render_matrix, transpose
 from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, grad_gibbs, load_field
-from .ga import Vec3, render_multivector
+from .ga import Vec3, format_short, render_multivector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,6 +74,10 @@ class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the schema-violation code
     # is reserved for field files, so remap usage problems to 1.
     def error(self, message: str):
+        if message.startswith("one of the arguments"):
+            # eval's expression-or-script choice, the only required group:
+            # argparse takes an expression such as ``-v`` for an option.
+            message += "; an expression that starts with '-' goes after '--'"
         raise _CliError(f"{self.prog}: {message}", EXIT_CONFIG)
 
 
@@ -85,10 +89,6 @@ def __getattr__(name: str):
 
         return checks
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
 
 
 def _finite_float(raw: str, positive: bool = False) -> float:
@@ -177,12 +177,12 @@ def _value_to_json(val: notation.Value):
 def _value_to_text(val: notation.Value) -> str:
     kind = notation.value_kind(val)
     if kind == "scalar":
-        return _fmt(val)
+        return format_short(val)
     if kind == "vector":
-        return f"({', '.join(map(_fmt, val.as_tuple()))})"
+        return f"({', '.join(map(format_short, val.as_tuple()))})"
     if kind == "tensor":
         return render_matrix(val)
-    return render_multivector(val, fmt=_fmt)
+    return render_multivector(val, fmt=format_short)
 
 
 def _titled(title: str, val: notation.Value) -> str:

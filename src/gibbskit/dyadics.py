@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import add, neg, sub
 
-from .ga import Vec3, _new, _Value, _vec3
+from .ga import Vec3, _new, _Value, _vec3, format_short
 
 __all__ = [
     "Tensor3",
@@ -161,8 +161,6 @@ def max_abs(t: Tensor3) -> float:
     return _nan_max([abs(v) for r in t.rows for v in r])
 
 
-def render_matrix(t: Tensor3, digits: int = 6, width: int = 12) -> str:
+def render_matrix(t: Tensor3) -> str:
     """Aligned text form: 3 rows of 3 values, row-major."""
-    return "\n".join(
-        "".join(f"{v:>{width}.{digits}g}" for v in r) for r in t.rows
-    )
+    return "\n".join("".join(f"{format_short(v):>12}" for v in r) for r in t.rows)

@@ -344,6 +344,12 @@ def format_number(c: float) -> str:
     return repr(c)
 
 
+def format_short(c: float) -> str:
+    """Text-output rendering: 6 significant digits, negative zero as ``0``."""
+    # Adding +0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+    return f"{c + 0.0:.6g}"
+
+
 def render_multivector(m: Multivector, fmt=format_number) -> str:
     """Canonical text form, e.g. ``-1 + e23`` or ``2 e1 - 0.5 e12``.
 

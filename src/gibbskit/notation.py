@@ -25,6 +25,7 @@ Applying `∇` directly to a parenthesized scalar expression, as in
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from functools import cached_property
 
@@ -98,6 +99,7 @@ LPAREN, RPAREN, IDENT, NUMBER, EOF = "lparen", "rparen", "ident", "number", "eof
 _SYMBOL_KINDS = {
     "∇": NABLA,
     "⊗": DYAD,
+    "(x)": DYAD,
     "·": DOT,
     ".": DOT,
     "∧": WEDGE,
@@ -109,9 +111,23 @@ _SYMBOL_KINDS = {
     "-": MINUS,
     "−": MINUS,
     "*": STAR,
+    "(": LPAREN,
+    ")": RPAREN,
 }
 
 _KEYWORD_KINDS = {"grad": NABLA, "cross": CROSS}
+
+# Alternatives are tried in order at each position, so ``(x)`` is always
+# the dyad, '.' always the dot operator (no number starts with it), and a
+# number's digits are never read as part of a name.  For str patterns,
+# ``\s``, ``\d`` and ``\w`` are ``isspace``, ``isdecimal`` (the digits
+# ``float`` accepts) and ``isalnum() or "_"``, as the tests check for
+# every code point.
+_TOKEN_PATTERN = re.compile(
+    r"(?P<space>\s+)|(?P<dyad>\(x\))|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<word>\w+)|(?P<other>.)",
+    re.DOTALL,
+)
 
 # Canonical display symbol per binary operator kind (used in errors/render).
 OP_SYMBOL = {DYAD: "⊗", DOT: "·", WEDGE: "∧", CROSS: "×", STAR: "*", PLUS: "+", MINUS: "-"}
@@ -136,72 +152,23 @@ def tokenize(src: str) -> list[Token]:
     a variable literally named x.
     """
     tokens: list[Token] = []
-    i = 0
-    byte_pos = 0
-    n = len(src)
-
-    def advance(count: int) -> None:
-        nonlocal i, byte_pos
-        byte_pos += len(src[i : i + count].encode("utf-8"))
-        i += count
-
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            advance(1)
-            continue
-        start = byte_pos
-        if src.startswith("(x)", i):
-            tokens.append(Token(DYAD, "(x)", start))
-            advance(3)
-            continue
-        if c == "(":
-            tokens.append(Token(LPAREN, c, start))
-            advance(1)
-            continue
-        if c == ")":
-            tokens.append(Token(RPAREN, c, start))
-            advance(1)
-            continue
-        if c in _SYMBOL_KINDS:
-            # '.' is always the dot operator; numbers may not start with it.
-            tokens.append(Token(_SYMBOL_KINDS[c], c, start))
-            advance(1)
-            continue
-        # isdecimal, not isdigit: float() refuses digits such as '²'.
-        if c.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdecimal():
-                j += 1
-                while j < n and src[j].isdecimal():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdecimal():
-                    j = k
-                    while j < n and src[j].isdecimal():
-                        j += 1
-            text = src[i:j]
+    pos = 0
+    for m in _TOKEN_PATTERN.finditer(src):
+        group, text = m.lastgroup, m.group()
+        if group == "number":
             if not math.isfinite(float(text)):
-                raise LexError(f"number {text!r} is not finite", start)
-            tokens.append(Token(NUMBER, text, start))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            kind = _KEYWORD_KINDS.get(text, IDENT)
-            tokens.append(Token(kind, text, start))
-            advance(j - i)
-            continue
-        raise LexError(f"unknown character {c!r}", start)
-    tokens.append(Token(EOF, "", byte_pos))
+                raise LexError(f"number {text!r} is not finite", pos)
+            tokens.append(Token(NUMBER, text, pos))
+        elif group == "word" and (text[0].isalpha() or text[0] == "_"):
+            tokens.append(Token(_KEYWORD_KINDS.get(text, IDENT), text, pos))
+        elif group != "space":
+            # An unknown character, or a word that starts with a digit
+            # that is not decimal, such as '²'.
+            if text not in _SYMBOL_KINDS:
+                raise LexError(f"unknown character {text[0]!r}", pos)
+            tokens.append(Token(_SYMBOL_KINDS[text], text, pos))
+        pos += len(text.encode("utf-8"))
+    tokens.append(Token(EOF, "", pos))
     return tokens
 
 
@@ -534,10 +501,6 @@ def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
     return Vec3(*comps)
 
 
-def _neg(v: Value) -> Value:
-    return -v
-
-
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
     """Evaluate an expression against a concrete field, point and bindings.
 
@@ -553,7 +516,7 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
         raise EvalError("∇ has no value on its own", e.pos)
     if isinstance(e, Unary):
         if e.op == "neg":
-            return _neg(evaluate(e.operand, ctx))
+            return -evaluate(e.operand, ctx)
         val = evaluate(e.operand, ctx)
         if not isinstance(val, Tensor3):
             raise EvalError(f"transpose applies to tensors, got {value_kind(val)}", e.pos)
@@ -610,7 +573,7 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
 
 
 def _as_mv(v: Value) -> Multivector:
-    return Multivector.from_vec3(v) if isinstance(v, Vec3) else v
+    return ga._mv_vec(v) if isinstance(v, Vec3) else v
 
 
 class AuditResult(_Value):

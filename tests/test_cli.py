@@ -579,3 +579,21 @@ def test_eval_expression_starting_with_minus_follows_double_dash():
     assert run_main([*args, "--", "-v"]) == (0, "(-1, -1, -1)\n", "")
     code, out, err = run_main([*args, "-v"])
     assert (code, out) == (1, "") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [["--point", "0", "1", "0", "-v"], ["-v"]])
+def test_eval_leading_minus_error_says_double_dash(args):
+    code, out, err = run_main(["eval", "--field", str(FIELDS / "shear.json"), *args])
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
+    assert "an expression that starts with '-' goes after '--'" in err
+
+
+@pytest.mark.parametrize("expression, want", [
+    ("-v", "(-1, 0, 0)\n"),
+    ("-(∇⊗v)", "           0           0           0\n"
+               "          -1           0           0\n"
+               "           0           0           0\n"),
+], ids=["vector", "tensor"])
+def test_text_output_prints_negative_zero_as_0(expression, want):
+    args = ["eval", "--field", str(FIELDS / "shear.json"), "--point", "0", "1", "0", "--"]
+    assert run_main([*args, expression]) == (0, want, "")

@@ -1,7 +1,10 @@
 import math
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gibbskit import (
     BindingError,
@@ -28,7 +31,8 @@ from gibbskit import (
     transpose,
     vorticity,
 )
-from gibbskit.notation import Binary, Nabla, ScalarLit, Unary, VectorRef, parse_tokens
+from gibbskit import notation
+from gibbskit.notation import Binary, Nabla, ScalarLit, Token, Unary, VectorRef, parse_tokens
 
 from helpers import radial_field, rand_cubic, rand_vec, shear_field, vec_close
 
@@ -77,6 +81,101 @@ def test_tokenize_is_whitespace_insensitive():
     a = [(t.kind, t.text) for t in tokenize("dr·(∇⊗v)")]
     b = [(t.kind, t.text) for t in tokenize("  dr · ( ∇ ⊗ v ) ")]
     assert a == b
+
+
+def reference_tokenize(src):
+    """The character-cursor lexer that the token pattern replaced."""
+    tokens = []
+    i = 0
+    byte_pos = 0
+    n = len(src)
+
+    def advance(count):
+        nonlocal i, byte_pos
+        byte_pos += len(src[i : i + count].encode("utf-8"))
+        i += count
+
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            advance(1)
+            continue
+        start = byte_pos
+        if src.startswith("(x)", i):
+            tokens.append(Token("dyad", "(x)", start))
+            advance(3)
+            continue
+        if c in notation._SYMBOL_KINDS:
+            tokens.append(Token(notation._SYMBOL_KINDS[c], c, start))
+            advance(1)
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdecimal():
+                j += 1
+                while j < n and src[j].isdecimal():
+                    j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdecimal():
+                    j = k
+                    while j < n and src[j].isdecimal():
+                        j += 1
+            text = src[i:j]
+            if not math.isfinite(float(text)):
+                raise LexError(f"number {text!r} is not finite", start)
+            tokens.append(Token("number", text, start))
+            advance(j - i)
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            text = src[i:j]
+            tokens.append(Token(notation._KEYWORD_KINDS.get(text, "ident"), text, start))
+            advance(j - i)
+            continue
+        raise LexError(f"unknown character {c!r}", start)
+    tokens.append(Token("eof", "", byte_pos))
+    return tokens
+
+
+def lex_outcome(lexer, src):
+    try:
+        return lexer(src)
+    except LexError as exc:
+        return str(exc), exc.pos
+
+
+# The grammar's alphabet, with digits and letters that are not decimal or
+# not ASCII, whitespace other than ' ', literals that overflow, and the
+# prefixes of a number that end before its fraction or exponent does.
+LEXER_PIECES = list("∇⊗·.∧^×†'+-−*()x v_0123456789eE@") + [
+    "(x)", "grad", "cross", "dr", "Ω", "²", "٣", "½", "Ⅻ", "é", "\t", "\n",
+    "1e999", "1.5", "1.", "1e", "1e+", "2E-",
+]
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(LEXER_PIECES), max_size=16).map("".join)))
+def test_tokenize_matches_the_character_loop(src):
+    assert lex_outcome(tokenize, src) == lex_outcome(reference_tokenize, src)
+
+
+def test_pattern_classes_are_the_str_predicates():
+    # tokenize relies on these for every code point; each Python release
+    # brings its own Unicode database.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for cls, predicate in (
+        (r"\s", str.isspace),
+        (r"\d", str.isdecimal),
+        (r"\w", lambda c: c.isalnum() or c == "_"),
+    ):
+        assert "".join(re.findall(cls, every)) == "".join(filter(predicate, every)), cls
 
 
 # --- parser -------------------------------------------------------------------
