@@ -134,12 +134,11 @@ _STEPS = (1e-2, 1e-3, 1e-4)
 
 def _fit_slope(errs: list[float]) -> float:
     """Least-squares slope of log err against log h, h in _STEPS."""
-    xs = [math.log(h) for h in _STEPS]
-    ys = [math.log(e) for e in errs]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
+    x0, x1, x2 = [math.log(h) for h in _STEPS]
+    y0, y1, y2 = [math.log(e) for e in errs]
+    mx, my = (0.0 + x0 + x1 + x2) / 3, (0.0 + y0 + y1 + y2) / 3
+    num = 0.0 + (x0 - mx) * (y0 - my) + (x1 - mx) * (y1 - my) + (x2 - mx) * (y2 - my)
+    den = 0.0 + (x0 - mx) ** 2 + (x1 - mx) ** 2 + (x2 - mx) ** 2
     return num / den
 
 
@@ -477,7 +476,9 @@ def _incompressible_bidi(rng: random.Random, n: int):
 # ---------------------------------------------------------------------------
 # notation checks
 
-_GOLDEN_EXPRESSIONS = ("dr · (∇⊗v)", "(∇⊗v)† · dr", "dr · (d)", "dr · (Ω)")
+_GOLDEN_EXPRS = [notation.parse(s) for s in ("dr · (∇⊗v)", "(∇⊗v)† · dr", "dr · (d)", "dr · (Ω)")]
+_TENSORS = ("∇⊗v", "(∇⊗v)†", "d", "Ω")
+_TRANSPOSE_LAW = [(notation.parse(f"c · ({t})"), notation.parse(f"({t})† · c")) for t in _TENSORS]
 
 _PARSE_OK = (
     "dr · (∇⊗v)",
@@ -519,24 +520,20 @@ def _check_notation_golden(rng: random.Random):
             postfactor(dr, sym(g)),
             postfactor(dr, antisym(g)),
         )
-        for src, want in zip(_GOLDEN_EXPRESSIONS, expected):
-            got = notation.evaluate(notation.parse(src), ctx)
-            ok = ok and _vec_err(got, want) == 0.0
+        for expr, want in zip(_GOLDEN_EXPRS, expected):
+            ok = ok and _vec_err(notation.evaluate(expr, ctx), want) == 0.0
     return ok, 100, "evaluator output identical to library calls"
 
 
 def _check_notation_transpose_law(rng: random.Random):
     ok = True
-    tensor_exprs = ("∇⊗v", "(∇⊗v)†", "d", "Ω")
     for _ in range(100):
         f = _rand_cubic(rng)
         x = _rand_vec(rng)
         c = _rand_vec(rng)
         ctx = notation.EvalContext(f, x, {"c": c})
-        for t in tensor_exprs:
-            lhs = notation.evaluate(notation.parse(f"c · ({t})"), ctx)
-            rhs = notation.evaluate(notation.parse(f"({t})† · c"), ctx)
-            ok = ok and _vec_err(lhs, rhs) == 0.0
+        for lhs, rhs in _TRANSPOSE_LAW:
+            ok = ok and _vec_err(notation.evaluate(lhs, ctx), notation.evaluate(rhs, ctx)) == 0.0
     return ok, 100, "c · T == T† · c at the expression level"
 
 

@@ -27,7 +27,7 @@ import sys
 from . import kinematics, notation
 from .dyadics import antisym, render_matrix, transpose
 from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, grad_gibbs, load_field
-from .ga import Vec3, format_short, render_multivector
+from .ga import BLADE_NAMES, Vec3, format_short, render_multivector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -108,11 +108,17 @@ def _fd_step(raw: str) -> float:
 
 
 def _binding(raw: str) -> tuple[str, Vec3]:
-    """argparse type for --bind: ``name=x,y,z`` with finite components."""
+    """argparse type for --bind: ``name=x,y,z``, a name expressions can read, finite x, y, z."""
     name, sep, rest = raw.partition("=")
     parts = rest.split(",")
     if not sep or not name or len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expects name=x,y,z, got {raw!r}")
+    try:
+        ident = notation.tokenize(name)[0] == notation.Token(notation.IDENT, name, 0)
+    except notation.LexError:
+        ident = False
+    if not ident or name == notation.FIELD_NAME:
+        raise argparse.ArgumentTypeError(f"cannot bind {name!r}: not an identifier other than 'v'")
     return name, Vec3(*(_finite_float(p) for p in parts))
 
 
@@ -170,7 +176,7 @@ def _value_to_json(val: notation.Value):
     elif kind == "tensor":
         body = val.to_lists()
     else:
-        body = dict(zip(("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123"), val.coeffs))
+        body = dict(zip(BLADE_NAMES, val.coeffs))
     return {"kind": kind, "value": body}
 
 

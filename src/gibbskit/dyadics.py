@@ -109,16 +109,17 @@ def nonion_basis(i: int, j: int) -> Tensor3:
     return dyad(Vec3.basis(i), Vec3.basis(j))
 
 
+# These two add left to right from 0.0, not with sum, which 3.12 made compensated.
 def postfactor(c: Vec3, t: Tensor3) -> Vec3:
     """c . T, the vector applied from the left: result_j = sum_i c_i T_ij."""
-    ct = c.as_tuple()
-    return _vec3(*[sum(ct[i] * t.rows[i][j] for i in range(3)) for j in range(3)])
+    c0, c1, c2 = c.as_tuple()
+    return _vec3(*[0.0 + c0 * a + c1 * b + c2 * e for a, b, e in zip(*t.rows)])
 
 
 def prefactor(t: Tensor3, c: Vec3) -> Vec3:
     """T . c, the vector applied from the right: result_i = sum_j T_ij c_j."""
-    ct = c.as_tuple()
-    return _vec3(*[sum(t.rows[i][j] * ct[j] for j in range(3)) for i in range(3)])
+    c0, c1, c2 = c.as_tuple()
+    return _vec3(*[0.0 + a * c0 + b * c1 + e * c2 for a, b, e in t.rows])
 
 
 def transpose(t: Tensor3) -> Tensor3:

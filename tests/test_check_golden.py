@@ -1,23 +1,19 @@
 """`gibbskit check --seed 0` prints exactly the committed golden text.
 
-Python 3.12 made the builtin ``sum`` of floats compensated, which moves
-the last digit of two reported error figures, so 3.12 and later have
-their own golden file.  Seeds 1 to 3 are pinned by the sha256 of their
-output, with one set of digests for 3.11 and earlier and one for 3.12+.
+Seeds 1 to 3 are pinned by the sha256 of their output.  One fixture and
+one digest per seed hold on every supported Python, 3.10 to 3.13: the
+library adds floats left to right, not with the builtin ``sum``, whose
+float result changed in 3.12.
 """
 
 import hashlib
-import sys
 from pathlib import Path
 
 import pytest
 
 from gibbskit import cli
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-GOLDEN = FIXTURES / (
-    "check_seed0_py312.txt" if sys.version_info >= (3, 12) else "check_seed0.txt"
-)
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "check_seed0.txt"
 
 
 def test_check_seed0_stdout_is_byte_identical(capsys):
@@ -28,20 +24,11 @@ def test_check_seed0_stdout_is_byte_identical(capsys):
     assert captured.out.encode("utf-8") == GOLDEN.read_bytes()
 
 
-# sha256 of `gibbskit check --seed N` stdout.  Seed 1 does not show the
-# 3.12 `sum` difference.
+# sha256 of `gibbskit check --seed N` stdout.
 CHECK_DIGESTS = {
     1: "99b11d8b1243eb4ba5f564645331e46f82a5c494160d1bce1f59e8b25cc84101",
-    2: (
-        "5b12c9af5203420054d2d94666912aa6040b511009235511dbe9df0533e4bc17"
-        if sys.version_info >= (3, 12)
-        else "04770e49cfcfdfa5d4b1a08492ae1b5d79812ea9bc9921c42356dbe21a407f64"
-    ),
-    3: (
-        "11af1dfd6c1e9fdbccb8ac298f7599c939c2f61a4157d80904bca622c59a06a6"
-        if sys.version_info >= (3, 12)
-        else "0073bb18541b46ea9474129cb0e462aa98fc487d37d131a08a2cb81f25fe3bc7"
-    ),
+    2: "04770e49cfcfdfa5d4b1a08492ae1b5d79812ea9bc9921c42356dbe21a407f64",
+    3: "0073bb18541b46ea9474129cb0e462aa98fc487d37d131a08a2cb81f25fe3bc7",
 }
 
 

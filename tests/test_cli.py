@@ -218,6 +218,26 @@ def test_bad_bind_exit_1():
     assert "--bind" in err
 
 
+@pytest.mark.parametrize("name", ["v", "grad", "2x", "a b"])
+def test_bind_refuses_a_name_no_expression_can_read(name):
+    # `v` is the field, `grad` an operator, `2x` two tokens and `a b` two
+    # names, so a binding of any of them would be silently unused.
+    code, out, err = run_cli(
+        ["eval", "--field", str(FIELDS / "shear.json"), "--point", "0", "1", "0",
+         "--bind", f"{name}=9,9,9", "v"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("gibbskit eval: argument --bind: ") and "\n" not in err
+
+
+@pytest.mark.parametrize("name", ["d", "Ω"])
+def test_bind_may_shadow_a_derived_tensor(name):
+    code, out, _ = run_cli(
+        ["eval", "--field", str(FIELDS / "shear.json"), "--bind", f"{name}=1,2,3", name]
+    )
+    assert (code, out) == (0, "(1, 2, 3)\n")
+
+
 def test_unknown_command_exit_1():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 1

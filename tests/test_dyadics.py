@@ -56,6 +56,19 @@ def test_postfactor_prefactor_examples():
     assert prefactor(t, E1).as_tuple() == (0.0, 0.0, 0.0)
 
 
+def test_factor_entries_add_left_to_right_from_zero():
+    # Each entry is 0.0 + p0 + p1 + p2 on every Python.  The compensated
+    # builtin sum of 3.12 and later gives 1.0 for the cancelling column.
+    ones = Vec3(1, 1, 1)
+    t = Tensor3(((1e16, 0, 0), (1, 0, 0), (-1e16, 0, 0)))
+    assert postfactor(ones, t).x == 0.0
+    assert prefactor(transpose(t), ones).x == 0.0
+    # Products that are all -0.0 start from 0.0 and so give +0.0.
+    negative_zeros = Tensor3(((-0.0,) * 3,) * 3)
+    for v in (postfactor(ones, negative_zeros), prefactor(negative_zeros, ones)):
+        assert [math.copysign(1.0, c) for c in v.as_tuple()] == [1.0, 1.0, 1.0]
+
+
 def test_factor_sides_differ_witness():
     # There is no bare "multiply": the two factor positions genuinely
     # disagree on an asymmetric dyad.

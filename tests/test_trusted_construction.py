@@ -119,13 +119,20 @@ TENSOR_CASES = {
     "antisym": (lambda s, t: antisym(s), lambda s, t: 0.5 * ref_entrywise(s, ref_transpose(s), minus)),
     "row": (lambda s, t: s.row(2), lambda s, t: Vec3(*s.rows[1])),
     "column": (lambda s, t: s.column(3), lambda s, t: Vec3(*(s.rows[i][2] for i in range(3)))),
+    # Entries add left to right from 0.0, the library's one summation rule.
     "postfactor": (
         lambda s, t: postfactor(s.row(1), t),
-        lambda s, t: Vec3(*(sum(s.rows[0][i] * t.rows[i][j] for i in range(3)) for j in range(3))),
+        lambda s, t: Vec3(*(
+            0.0 + s.rows[0][0] * t.rows[0][j] + s.rows[0][1] * t.rows[1][j]
+            + s.rows[0][2] * t.rows[2][j] for j in range(3)
+        )),
     ),
     "prefactor": (
         lambda s, t: prefactor(t, s.row(1)),
-        lambda s, t: Vec3(*(sum(t.rows[i][j] * s.rows[0][j] for j in range(3)) for i in range(3))),
+        lambda s, t: Vec3(*(
+            0.0 + t.rows[i][0] * s.rows[0][0] + t.rows[i][1] * s.rows[0][1]
+            + t.rows[i][2] * s.rows[0][2] for i in range(3)
+        )),
     ),
     "nabla_wedge_of": (
         lambda s, t: nabla_wedge_of(s),
