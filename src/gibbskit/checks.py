@@ -5,8 +5,11 @@ caller's seed, so two runs with the same seed produce identical results
 and identical formatted output.  ``run_all`` returns one CheckResult per
 invariant; the CLI turns these into pass/fail lines and the exit status.
 
-Most invariants are written once, as a generator of per-case errors, and
-``_bounded`` turns each into a check; a nan or infinite error fails it.
+Most invariants are written once, as a case function, and one of three
+loops turns each into a row of ``_CHECKS``: ``_bounded`` (every error a
+case yields is finite and within a bound), ``_fitted_order`` (the errors a
+case returns at _STEPS converge at order 2 or better) or ``_holds`` (every
+flag a case yields is true).
 """
 
 from __future__ import annotations
@@ -94,6 +97,12 @@ def _rand_cubic(rng: random.Random) -> PolyField:
     return PolyField(comps)
 
 
+def _gradient_case(rng: random.Random) -> tuple[PolyField, Vec3, Vec3, Tensor3]:
+    """A random cubic field f, a point x, a displacement dx, and G at x, drawn in that order."""
+    f, x, dx = _rand_cubic(rng), _rand_vec(rng), _rand_vec(rng)
+    return f, x, dx, grad_gibbs(f, x)
+
+
 def _curl_field(a: PolyField) -> PolyField:
     """Exactly divergence-free field built from a polynomial potential."""
     a1, a2, a3 = a.components
@@ -143,7 +152,7 @@ def _fit_slope(errs: list[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the two loops: largest error against a bound, smallest fitted order
+# the three loops: largest error against a bound, smallest fitted order, every flag
 
 
 def _bounded(case: Callable, cases: int, bound: float, label: str) -> Callable:
@@ -178,6 +187,21 @@ def _fitted_order(case: Callable) -> Callable:
                 return False, n + 1, f"min fitted order {slope:.3f}"
             worst = min(worst, slope)
         return worst >= 1.9, 10, f"min fitted order {worst:.3f}"
+
+    return check
+
+
+def _holds(case: Callable, cases: int, detail: str) -> Callable:
+    """The check that every flag ``case(rng, n)`` yields, n < cases, is true.
+
+    The first false flag fails it, and no later case is drawn.
+    """
+
+    def check(rng: random.Random):
+        for n in range(cases):
+            if not all(case(rng, n)):
+                return False, cases, detail
+        return True, cases, detail
 
     return check
 
@@ -250,14 +274,13 @@ def _associativity(rng: random.Random, n: int):
 
 
 # ---------------------------------------------------------------------------
-# dyadics checks
+# dyadics cases
 
 
-def _check_factor_sides_differ(rng: random.Random):
+def _factor_sides_differ(rng: random.Random, n: int):
     t = dyad(Vec3.basis(1), Vec3.basis(2))
     c = Vec3.basis(1)
-    differ = postfactor(c, t).as_tuple() != prefactor(t, c).as_tuple()
-    return differ, 1, "witness e1 . (e1 (x) e2) vs (e1 (x) e2) . e1"
+    yield postfactor(c, t).as_tuple() != prefactor(t, c).as_tuple()
 
 
 def _transpose_identity(rng: random.Random, n: int):
@@ -278,16 +301,12 @@ def _nonion_roundtrip(rng: random.Random, n: int):
 
 
 # ---------------------------------------------------------------------------
-# fields checks
+# fields cases
 
 
-def _check_convention_duality(rng: random.Random):
-    ok = True
-    for _ in range(200):
-        f = _rand_cubic(rng)
-        x = _rand_vec(rng)
-        ok = ok and max_abs(grad_alt(f, x) - transpose(grad_gibbs(f, x))) == 0.0
-    return ok, 200, "grad_alt == transpose(grad_gibbs), bit-exact"
+def _convention_duality(rng: random.Random, n: int):
+    f, x = _rand_cubic(rng), _rand_vec(rng)
+    yield max_abs(grad_alt(f, x) - transpose(grad_gibbs(f, x))) == 0.0
 
 
 def _taylor_remainder(rng: random.Random) -> list[float]:
@@ -328,7 +347,7 @@ def _check_poly_derivatives(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# kinematics checks
+# kinematics cases
 
 
 def _decomposition(rng: random.Random, n: int):
@@ -354,61 +373,41 @@ def _decomposition(rng: random.Random, n: int):
 
 
 def _omega_vs_bivector(rng: random.Random, n: int):
-    f = _rand_cubic(rng)
-    x = _rand_vec(rng)
-    dx = _rand_vec(rng)
-    g = grad_gibbs(f, x)
+    _, _, dx, g = _gradient_case(rng)
     lhs = postfactor(dx, antisym(g))
     rhs = ga.vector_part(ga.dot(Multivector.from_vec3(dx), 0.5 * kin.nabla_wedge_of(g)))
     yield _vec_err(lhs, rhs) / _vec_scale(lhs, rhs)
 
 
-def _check_factor_consistency(rng: random.Random):
-    ok = True
-    for _ in range(200):
-        f = _rand_cubic(rng)
-        x = _rand_vec(rng)
-        dr = _rand_vec(rng)
-        _, omega = kin.decompose(f, x)
-        ok = ok and _vec_err(postfactor(dr, omega), prefactor(transpose(omega), dr)) == 0.0
-    return ok, 200, "dr . omega == transpose(omega) . dr, bit-exact"
+def _factor_consistency(rng: random.Random, n: int):
+    f, x, dr = _rand_cubic(rng), _rand_vec(rng), _rand_vec(rng)
+    _, omega = kin.decompose(f, x)
+    yield _vec_err(postfactor(dr, omega), prefactor(transpose(omega), dr)) == 0.0
 
 
 def _strain_split(rng: random.Random, n: int):
-    f = _rand_cubic(rng)
-    x = _rand_vec(rng)
-    dx = _rand_vec(rng)
-    g = grad_gibbs(f, x)
+    _, _, dx, g = _gradient_case(rng)
     comp, incomp = kin.strain_split_of(g, dx)
     dv = postfactor(dx, g)
     yield _vec_err(comp + incomp, dv) / _vec_scale(dv)
 
 
 def _symmetric_split(rng: random.Random, n: int):
-    f = _rand_cubic(rng)
-    x = _rand_vec(rng)
-    dx = _rand_vec(rng)
-    g = grad_gibbs(f, x)
+    _, _, dx, g = _gradient_case(rng)
     lhs = postfactor(dx, sym(g))
     rhs = 0.5 * (trace(g) * dx + kin.bidi_forward_of(g, dx))
     yield _vec_err(lhs, rhs) / _vec_scale(lhs, rhs)
 
 
 def _antisymmetric_split(rng: random.Random, n: int):
-    f = _rand_cubic(rng)
-    x = _rand_vec(rng)
-    dx = _rand_vec(rng)
-    g = grad_gibbs(f, x)
+    _, _, dx, g = _gradient_case(rng)
     lhs = postfactor(dx, antisym(g))
     rhs = 0.5 * (trace(g) * dx - kin.bidi_reverse_of(g, dx))
     yield _vec_err(lhs, rhs) / _vec_scale(lhs, rhs)
 
 
 def _vector_calculus_forms(rng: random.Random, n: int):
-    f = _rand_cubic(rng)
-    x = _rand_vec(rng)
-    dx = _rand_vec(rng)
-    g = grad_gibbs(f, x)
+    f, x, dx, g = _gradient_case(rng)
     d, omega = sym(g), antisym(g)
     advective = postfactor(dx, g)  # (dx . nabla) v
     grad_scalar = f.dotted(dx).grad_at(x)  # nabla (dx . v), exact
@@ -440,24 +439,15 @@ def _rotation_witness(rng: random.Random, n: int):
     yield _vec_err(postfactor(dr, transpose(omega)), -(w.cross(dr))) / scale
 
 
-def _check_report_consistency(rng: random.Random):
-    ok = True
-    for _ in range(100):
-        f = _rand_cubic(rng)
-        x = _rand_vec(rng)
-        rep = kin.report(f, x)
-        reassembly = max_abs(rep.d + rep.omega - rep.grad_gibbs)
-        ok = ok and reassembly <= 1e-15 * max(1.0, max_abs(rep.grad_gibbs))
-        ok = ok and rep.grad_alt.rows == transpose(rep.grad_gibbs).rows
-        ok = ok and rep.omega_bivector == 0.5 * kin.nabla_wedge_of(rep.grad_gibbs)
-        ok = ok and rep.vorticity.as_tuple() == ga.vector_dual(
-            2.0 * rep.omega_bivector
-        ).as_tuple()
-        g = rep.grad_gibbs.rows
-        curl = (g[1][2] - g[2][1], g[2][0] - g[0][2], g[0][1] - g[1][0])
-        ok = ok and rep.vorticity.as_tuple() == curl
-        ok = ok and rep.divergence == g[0][0] + g[1][1] + g[2][2]
-    return ok, 100, "gradients, omega bivector, vorticity, divergence agree"
+def _report_consistency(rng: random.Random, n: int):
+    rep = kin.report(_rand_cubic(rng), _rand_vec(rng))
+    yield max_abs(rep.d + rep.omega - rep.grad_gibbs) <= 1e-15 * max(1.0, max_abs(rep.grad_gibbs))
+    yield rep.grad_alt.rows == transpose(rep.grad_gibbs).rows
+    yield rep.omega_bivector == 0.5 * kin.nabla_wedge_of(rep.grad_gibbs)
+    yield rep.vorticity.as_tuple() == ga.vector_dual(2.0 * rep.omega_bivector).as_tuple()
+    g = rep.grad_gibbs.rows
+    yield rep.vorticity.as_tuple() == (g[1][2] - g[2][1], g[2][0] - g[0][2], g[0][1] - g[1][0])
+    yield rep.divergence == g[0][0] + g[1][1] + g[2][2]
 
 
 def _incompressible_bidi(rng: random.Random, n: int):
@@ -474,7 +464,7 @@ def _incompressible_bidi(rng: random.Random, n: int):
 
 
 # ---------------------------------------------------------------------------
-# notation checks
+# notation cases
 
 _GOLDEN_EXPRS = [notation.parse(s) for s in ("dr · (∇⊗v)", "(∇⊗v)† · dr", "dr · (d)", "dr · (Ω)")]
 _TENSORS = ("∇⊗v", "(∇⊗v)†", "d", "Ω")
@@ -506,35 +496,24 @@ _PARSE_FAIL = (
 )
 
 
-def _check_notation_golden(rng: random.Random):
-    ok = True
-    for _ in range(100):
-        f = _rand_cubic(rng)
-        x = _rand_vec(rng)
-        dr = _rand_vec(rng)
-        ctx = notation.EvalContext(f, x, {"dr": dr})
-        g = grad_gibbs(f, x)
-        expected = (
-            postfactor(dr, g),
-            prefactor(transpose(g), dr),
-            postfactor(dr, sym(g)),
-            postfactor(dr, antisym(g)),
-        )
-        for expr, want in zip(_GOLDEN_EXPRS, expected):
-            ok = ok and _vec_err(notation.evaluate(expr, ctx), want) == 0.0
-    return ok, 100, "evaluator output identical to library calls"
+def _notation_golden(rng: random.Random, n: int):
+    f, x, dr, g = _gradient_case(rng)
+    ctx = notation.EvalContext(f, x, {"dr": dr})
+    expected = (
+        postfactor(dr, g),
+        prefactor(transpose(g), dr),
+        postfactor(dr, sym(g)),
+        postfactor(dr, antisym(g)),
+    )
+    for expr, want in zip(_GOLDEN_EXPRS, expected):
+        yield _vec_err(notation.evaluate(expr, ctx), want) == 0.0
 
 
-def _check_notation_transpose_law(rng: random.Random):
-    ok = True
-    for _ in range(100):
-        f = _rand_cubic(rng)
-        x = _rand_vec(rng)
-        c = _rand_vec(rng)
-        ctx = notation.EvalContext(f, x, {"c": c})
-        for lhs, rhs in _TRANSPOSE_LAW:
-            ok = ok and _vec_err(notation.evaluate(lhs, ctx), notation.evaluate(rhs, ctx)) == 0.0
-    return ok, 100, "c · T == T† · c at the expression level"
+def _notation_transpose_law(rng: random.Random, n: int):
+    f, x, c = _rand_cubic(rng), _rand_vec(rng), _rand_vec(rng)
+    ctx = notation.EvalContext(f, x, {"c": c})
+    for lhs, rhs in _TRANSPOSE_LAW:
+        yield _vec_err(notation.evaluate(lhs, ctx), notation.evaluate(rhs, ctx)) == 0.0
 
 
 def _check_notation_parse_totality(rng: random.Random):
@@ -555,19 +534,15 @@ def _check_notation_parse_totality(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# cli-facing serialization check
+# cli-facing serialization case
 
 
-def _check_report_json_roundtrip(rng: random.Random):
-    ok = True
-    for _ in range(50):
-        f = _rand_cubic(rng)
-        rep = kin.report(f, _rand_vec(rng))
-        blob = json.dumps(rep.to_dict())
-        # Strict JSON has no NaN or Infinity: read as strings, they cannot round-trip.
-        ok = ok and json.loads(blob, parse_constant=str) == rep.to_dict()
-        ok = ok and json.dumps(rep.to_dict()) == blob
-    return ok, 50, "report dict -> JSON -> dict is lossless and stable"
+def _report_json_roundtrip(rng: random.Random, n: int):
+    rep = kin.report(_rand_cubic(rng), _rand_vec(rng))
+    blob = json.dumps(rep.to_dict())
+    # Strict JSON has no NaN or Infinity: read as strings, they cannot round-trip.
+    yield json.loads(blob, parse_constant=str) == rep.to_dict()
+    yield json.dumps(rep.to_dict()) == blob
 
 
 _CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -579,11 +554,13 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
     ("ga: blade rule for grades 1..3", _bounded(_blade_rule, 999, 1e-12, "rel err")),
     ("ga: grade decomposition is complete", _bounded(_grade_completeness, 1000, 0.0, "abs err")),
     ("ga: geometric product associativity", _bounded(_associativity, 1000, 1e-12, "rel err")),
-    ("dyadics: postfactor differs from prefactor", _check_factor_sides_differ),
+    ("dyadics: postfactor differs from prefactor",
+     _holds(_factor_sides_differ, 1, "witness e1 . (e1 (x) e2) vs (e1 (x) e2) . e1")),
     ("dyadics: transpose identity c·T = T†·c",
      _bounded(_transpose_identity, 1000, 1e-14, "rel err")),
     ("dyadics: nonion reconstruction round-trip", _bounded(_nonion_roundtrip, 200, 0.0, "abs err")),
-    ("fields: grad_alt is the transpose of grad_gibbs", _check_convention_duality),
+    ("fields: grad_alt is the transpose of grad_gibbs",
+     _holds(_convention_duality, 200, "grad_alt == transpose(grad_gibbs), bit-exact")),
     ("fields: Taylor remainder shrinks at order 2", _fitted_order(_taylor_remainder)),
     ("fields: central differences converge at order 2", _fitted_order(_fd_convergence)),
     ("fields: polynomial derivatives are exact", _check_poly_derivatives),
@@ -591,7 +568,8 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
      _bounded(_decomposition, 200, 1e-15, "reassembly rel err")),
     ("kinematics: Ω action equals bivector contraction",
      _bounded(_omega_vs_bivector, 1000, 1e-12, "rel err")),
-    ("kinematics: postfactor Ω vs prefactor Ω†", _check_factor_consistency),
+    ("kinematics: postfactor Ω vs prefactor Ω†",
+     _holds(_factor_consistency, 200, "dr . omega == transpose(omega) . dr, bit-exact")),
     ("kinematics: compressive + incompressive = dv",
      _bounded(_strain_split, 500, 1e-12, "rel err")),
     ("kinematics: symmetric divergence split", _bounded(_symmetric_split, 500, 1e-12, "rel err")),
@@ -601,13 +579,17 @@ _CHECKS: tuple[tuple[str, Callable], ...] = (
      _bounded(_vector_calculus_forms, 500, 1e-12, "rel err")),
     ("kinematics: rigid rotation keeps its sense",
      _bounded(_rotation_witness, 200, 1e-14, "rel err")),
-    ("kinematics: report fields mutually consistent", _check_report_consistency),
+    ("kinematics: report fields mutually consistent",
+     _holds(_report_consistency, 100, "gradients, omega bivector, vorticity, divergence agree")),
     ("kinematics: divergence-free bidi relations",
      _bounded(_incompressible_bidi, 300, 1e-12, "rel err")),
-    ("notation: evaluator matches library calls", _check_notation_golden),
-    ("notation: expression-level transpose law", _check_notation_transpose_law),
+    ("notation: evaluator matches library calls",
+     _holds(_notation_golden, 100, "evaluator output identical to library calls")),
+    ("notation: expression-level transpose law",
+     _holds(_notation_transpose_law, 100, "c · T == T† · c at the expression level")),
     ("notation: parse totality and positioned errors", _check_notation_parse_totality),
-    ("cli: report JSON round-trip is lossless", _check_report_json_roundtrip),
+    ("cli: report JSON round-trip is lossless",
+     _holds(_report_json_roundtrip, 50, "report dict -> JSON -> dict is lossless and stable")),
 )
 
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)

@@ -25,8 +25,8 @@ import os
 import sys
 
 from . import kinematics, notation
-from .dyadics import antisym, render_matrix, transpose
-from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, grad_gibbs, load_field
+from .dyadics import render_matrix, transpose
+from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, load_field
 from .ga import BLADE_NAMES, Vec3, format_short, render_multivector
 
 EXIT_OK = 0
@@ -235,10 +235,9 @@ def _run_kinematics(args: argparse.Namespace):
 def _run_conventions(args: argparse.Namespace):
     f = _load_field(args)
     point = Vec3(*args.point)
-    g = grad_gibbs(f, point)
-    a = transpose(g)
+    rep = kinematics.report(f, point)
+    g, a, omega = rep.grad_gibbs, rep.grad_alt, rep.omega
     difference = g - a
-    omega = antisym(g)
     prefactor = transpose(omega)
     payload = {
         "point": list(point.as_tuple()),

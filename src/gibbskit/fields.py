@@ -274,11 +274,10 @@ class PolyField(_Value):
 
     def dotted(self, c: Vec3) -> Poly:
         """Scalar polynomial c . v for a constant vector c."""
-        ct = c.as_tuple()
-        acc = Poly.zero()
-        for ci, comp in zip(ct, self.components):
-            acc = acc + ci * comp
-        return acc
+        return Poly(tuple(
+            (p, coeff * ci) for ci, comp in zip(c.as_tuple(), self.components)
+            for p, coeff in comp.terms
+        ))
 
 
 class BlackBoxField(_Value):

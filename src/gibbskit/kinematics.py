@@ -130,7 +130,7 @@ def bidi_forward_of(g: Tensor3, dx: Vec3) -> Vec3:
     acc = Multivector.zero()
     for i in (1, 2, 3):
         acc = acc + Multivector.basis_vector(i) * dxm * ga._mv_vec(g.row(i))
-    return ga.vector_part(ga.grade(acc, 1))
+    return ga.vector_part(acc)
 
 
 def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
@@ -147,7 +147,7 @@ def bidi_reverse_of(g: Tensor3, dx: Vec3) -> Vec3:
     acc = Multivector.zero()
     for i in (1, 2, 3):
         acc = acc + dxm * ga._mv_vec(g.row(i)) * Multivector.basis_vector(i)
-    return ga.vector_part(ga.grade(acc, 1))
+    return ga.vector_part(acc)
 
 
 class KinematicsReport(_Value):

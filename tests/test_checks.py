@@ -8,6 +8,7 @@ must fail every one of those rows.
 """
 
 import math
+import random
 
 import pytest
 
@@ -101,3 +102,16 @@ TAYLOR_SEEDS = (429, 1668, 2636, 2651, 2752, 41000, 72000, 89002, 526001)
 def test_taylor_row_passes_on_correct_code(seed):
     result = run_row("fields: Taylor remainder shrinks at order 2", seed)
     assert result.passed, result.detail
+
+
+def test_holds_fails_at_the_first_false_flag_and_draws_no_later_case():
+    drawn = []
+
+    def case(rng, n):
+        drawn.append(n)
+        yield True
+        yield n != 3
+
+    assert checks._holds(case, 10, "detail")(random.Random(0)) == (False, 10, "detail")
+    assert drawn == [0, 1, 2, 3]
+    assert checks._holds(case, 3, "detail")(random.Random(0)) == (True, 3, "detail")

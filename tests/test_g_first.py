@@ -92,7 +92,7 @@ ONE_G_PER_CASE = {
     "_check_symmetric_split": row("kinematics: symmetric divergence split"),
     "_check_antisymmetric_split": row("kinematics: antisymmetric divergence split"),
     "_check_vector_calculus_forms": row("kinematics: vector-calculus forms of d and Ω"),
-    "_check_report_consistency": checks._check_report_consistency,
+    "_check_report_consistency": row("kinematics: report fields mutually consistent"),
     "_check_incompressible_bidi": row("kinematics: divergence-free bidi relations"),
 }
 
@@ -106,14 +106,14 @@ def test_check_computes_g_once_per_case(grad_calls, name):
 
 def test_convention_duality_computes_g_twice_per_case(grad_calls):
     # It compares grad_alt itself against transpose(grad_gibbs).
-    passed, cases, _ = checks._check_convention_duality(random.Random(1))
+    passed, cases, _ = row("fields: grad_alt is the transpose of grad_gibbs")(random.Random(1))
     assert passed
     assert len(grad_calls) == 2 * cases
 
 
 def test_notation_golden_computes_g_at_most_twice_per_case(grad_calls):
     # One G for the evaluation context, one for the library side.
-    passed, cases, _ = checks._check_notation_golden(random.Random(1))
+    passed, cases, _ = row("notation: evaluator matches library calls")(random.Random(1))
     assert passed
     assert len(grad_calls) <= 2 * cases
 
