@@ -57,8 +57,11 @@ class CheckResult(_Value):
 # case generators
 
 
+# The draws below compute ``lo + (hi - lo) * r()`` with ``r = rng.random``,
+# which is what ``rng.uniform(lo, hi)`` returns, without its call.
 def _rand_vec(rng: random.Random, lo: float = -2.0, hi: float = 2.0) -> Vec3:
-    return Vec3(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
+    r, w = rng.random, hi - lo
+    return Vec3(lo + w * r(), lo + w * r(), lo + w * r())
 
 
 def _rand_unit(rng: random.Random) -> Vec3:
@@ -70,11 +73,13 @@ def _rand_unit(rng: random.Random) -> Vec3:
 
 
 def _rand_mv(rng: random.Random) -> Multivector:
-    return Multivector(tuple(rng.uniform(-2.0, 2.0) for _ in range(8)))
+    r = rng.random
+    return Multivector(tuple([-2.0 + 4.0 * r() for _ in range(8)]))
 
 
 def _rand_tensor(rng: random.Random) -> Tensor3:
-    return Tensor3(tuple(tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(3)))
+    r = rng.random
+    return Tensor3(tuple([tuple([-2.0 + 4.0 * r() for _ in range(3)]) for _ in range(3)]))
 
 
 _CUBIC_POWERS = [
@@ -91,8 +96,9 @@ _CUBIC = Poly(tuple((p, 1.0) for p in _CUBIC_POWERS))
 
 
 def _rand_cubic(rng: random.Random) -> PolyField:
+    r = rng.random
     comps = tuple(
-        _CUBIC._with_coeffs([rng.uniform(-1.0, 1.0) for _ in _CUBIC_POWERS]) for _ in range(3)
+        _CUBIC._with_coeffs([-1.0 + 2.0 * r() for _ in _CUBIC_POWERS]) for _ in range(3)
     )
     return PolyField(comps)
 

@@ -136,7 +136,9 @@ class Poly(_Value):
     repeats, zero coefficients are dropped, and the triples are sorted, so
     equal polynomials compare equal.  The constructor validates and
     canonicalises; ``_trusted`` wraps terms that are already canonical, and
-    ``_with_coeffs`` reuses these monomials with new coefficients.
+    ``_with_coeffs`` reuses these monomials with new coefficients.  ``_top``,
+    the power-table sizes of the first partials, is a write-once memo that
+    takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     __match_args__ = ("terms",)
@@ -188,7 +190,12 @@ class Poly(_Value):
         """
         cs = [float(c) for _, c in zip(self.terms, coeffs)]
         terms = tuple([(p, c) for (p, _), c in zip(self.terms, cs)])
-        return Poly(terms) if 0.0 in cs else Poly._trusted(terms)
+        if 0.0 in cs:
+            return Poly(terms)
+        poly = Poly._trusted(terms)
+        # Same monomials, so the same table sizes.
+        poly.__dict__["_top"] = self._top
+        return poly
 
     @staticmethod
     def zero() -> "Poly":
@@ -197,6 +204,11 @@ class Poly(_Value):
     @staticmethod
     def constant(c: float) -> "Poly":
         return Poly((((0, 0, 0), float(c)),))
+
+    @cached_property
+    def _top(self) -> Powers:
+        """The highest exponent along each axis that a first partial uses."""
+        return _partials_top(self.terms)
 
     def eval(self, p: Vec3) -> float:
         return _eval_terms(self.terms, *_power_tables(p, _top_powers((self.terms,))))
@@ -220,7 +232,7 @@ class Poly(_Value):
         return Poly._trusted(tuple(lowered))
 
     def grad_at(self, p: Vec3) -> Vec3:
-        xs, ys, zs = _power_tables(p, _partials_top(self.terms))
+        xs, ys, zs = _power_tables(p, self._top)
         return _vec3(*_grad_terms(self.terms, xs, ys, zs))
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -238,9 +250,12 @@ class Poly(_Value):
 class PolyField(_Value):
     """Vector field with polynomial components; derivatives are exact.
 
-    Two write-once memos, computed on first use, take no part in ``==``,
-    ``hash`` or ``repr``: the power-table sizes ``grad_gibbs`` needs and
-    the three partial fields that ``partial`` returns.
+    Three memos take no part in ``==``, ``hash`` or ``repr``.  Two are
+    write-once and computed on first use: the power-table sizes
+    ``grad_gibbs`` needs and the three partial fields that ``partial``
+    returns.  The third, ``_last_grad``, holds the last point ``grad_gibbs``
+    was asked about and its ``G``, and each call at another point replaces
+    it; threads that share the field can at worst recompute a ``G``.
     """
 
     __match_args__ = ("components",)
@@ -260,8 +275,7 @@ class PolyField(_Value):
     @cached_property
     def _grad_top(self) -> Powers:
         """The highest exponent along each axis that any first partial uses."""
-        tops = [_partials_top(c.terms) for c in self.components]
-        return tuple(map(max, *tops))
+        return tuple(map(max, *[c._top for c in self.components]))
 
     @cached_property
     def _partials(self) -> tuple["PolyField", "PolyField", "PolyField"]:
@@ -328,11 +342,23 @@ def fd_grad(f, x: Vec3, step: float | None = None) -> Tensor3:
 
 
 def grad_gibbs(f: Field, x: Vec3) -> Tensor3:
-    """Gradient with entry (i, j) = dv_j/dx_i (row i = derivative along axis i)."""
+    """Gradient with entry (i, j) = dv_j/dx_i (row i = derivative along axis i).
+
+    A ``PolyField`` keeps the last point and its ``G``, and a call with that
+    same ``Vec3`` object returns the kept ``G``: a ``Vec3`` cannot change.
+    Any other point is differentiated and replaces it.  A ``BlackBoxField``
+    is differentiated on every call.
+    """
     if isinstance(f, PolyField):
+        memo = f.__dict__
+        last = memo.get("_last_grad")
+        if last is not None and last[0] is x and type(x) is Vec3:
+            return last[1]
         xs, ys, zs = _power_tables(x, f._grad_top)
         columns = [_grad_terms(c.terms, xs, ys, zs) for c in f.components]
-        return _tensor(tuple(zip(*columns)))
+        g = _tensor(tuple(zip(*columns)))
+        memo["_last_grad"] = (x, g)
+        return g
     return fd_grad(f, x)
 
 
