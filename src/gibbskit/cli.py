@@ -25,9 +25,9 @@ import os
 import sys
 
 from . import kinematics, notation
-from .dyadics import render_matrix, transpose
+from .dyadics import _json_value, render_matrix, transpose
 from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, load_field
-from .ga import BLADE_NAMES, Vec3, format_short, render_multivector
+from .ga import Vec3, format_short, render_multivector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -168,16 +168,7 @@ def _load_field(args: argparse.Namespace) -> PolyField:
 
 
 def _value_to_json(val: notation.Value):
-    kind = notation.value_kind(val)
-    if kind == "scalar":
-        body = val
-    elif kind == "vector":
-        body = list(val.as_tuple())
-    elif kind == "tensor":
-        body = val.to_lists()
-    else:
-        body = dict(zip(BLADE_NAMES, val.coeffs))
-    return {"kind": kind, "value": body}
+    return {"kind": notation.value_kind(val), "value": _json_value(val)}
 
 
 def _value_to_text(val: notation.Value) -> str:
@@ -239,14 +230,10 @@ def _run_conventions(args: argparse.Namespace):
     g, a, omega = rep.grad_gibbs, rep.grad_alt, rep.omega
     difference = g - a
     prefactor = transpose(omega)
-    payload = {
-        "point": list(point.as_tuple()),
-        "grad_gibbs": g.to_lists(),
-        "grad_alt": a.to_lists(),
-        "difference": difference.to_lists(),
-        "omega_postfactor": omega.to_lists(),
-        "omega_prefactor": prefactor.to_lists(),
-    }
+    payload = {key: _json_value(val) for key, val in (
+        ("point", point), ("grad_gibbs", g), ("grad_alt", a), ("difference", difference),
+        ("omega_postfactor", omega), ("omega_prefactor", prefactor),
+    )}
     lines = [_titled(title, val) for title, val in (
         ("point", point),
         ("gradient, postfactor layout", g),
@@ -268,10 +255,7 @@ def _run_check(args: argparse.Namespace):
         "seed": args.seed,
         "passed": len(results) - failed,
         "failed": failed,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "cases": r.cases, "detail": r.detail}
-            for r in results
-        ],
+        "checks": [_json_value(r) for r in results],
     }
     width = max(len(r.name) for r in results)
     lines = [

@@ -4,13 +4,17 @@ A Tensor3 stores T_ij as the coefficient of e_i (x) e_j: row index is the
 antecedent, column index the consequent.  A dyadic has no bare "multiply";
 it acts on vectors either as a postfactor (c . T) or as a prefactor
 (T . c), and the two are linked by c . T = transpose(T) . c.
+
+``_json_value`` is the one JSON rule for every value and result record:
+a Vec3 is [x, y, z], a Tensor3 its rows, a Multivector a blade ->
+coefficient object, and a record its fields in ``__match_args__`` order.
 """
 
 from __future__ import annotations
 
 from operator import add, neg, sub
 
-from .ga import Vec3, _new, _Value, _vec3, format_short
+from .ga import BLADE_NAMES, Multivector, Vec3, _new, _Value, _vec3, format_short
 
 __all__ = [
     "Tensor3",
@@ -87,6 +91,19 @@ class Tensor3(_Value):
 
     def __str__(self) -> str:
         return render_matrix(self)
+
+
+def _json_value(value):
+    """JSON form of a value, or of a record as field -> JSON form of the field."""
+    if isinstance(value, Vec3):
+        return list(value.as_tuple())
+    if isinstance(value, Tensor3):
+        return value.to_lists()
+    if isinstance(value, Multivector):
+        return dict(zip(BLADE_NAMES, value.coeffs))
+    if isinstance(value, _Value):
+        return {name: _json_value(getattr(value, name)) for name in value.__match_args__}
+    return value
 
 
 def _tensor(rows: Rows) -> Tensor3:

@@ -332,6 +332,7 @@ def fd_grad(f, x: Vec3, step: float | None = None) -> Tensor3:
     """
     if step is None:
         step = f.step if isinstance(f, BlackBoxField) else DEFAULT_FD_STEP
+    _check_fd_step(step)
     rows = []
     for i in (1, 2, 3):
         e_i = Vec3.basis(i)

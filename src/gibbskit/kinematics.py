@@ -19,7 +19,7 @@ prefactor to keep the same sense of rotation.
 from __future__ import annotations
 
 from . import ga
-from .dyadics import Tensor3, antisym, postfactor, prefactor, sym, trace, transpose
+from .dyadics import Tensor3, _json_value, antisym, postfactor, prefactor, sym, trace, transpose
 from .fields import Field, grad_gibbs
 from .ga import Multivector, Vec3, _Value
 
@@ -94,6 +94,15 @@ def vorticity(f: Field, x: Vec3) -> Vec3:
     return ga.vector_dual(nabla_wedge(f, x))
 
 
+def _frame_sum(g: Tensor3, dx: Vec3, term) -> Vec3:
+    """Grade-1 part of sum_i term(e_i, dx, d_i v), with d_i v row i of G."""
+    a = ga._mv_vec(dx)
+    acc = Multivector.zero()
+    for i in (1, 2, 3):
+        acc = acc + term(Multivector.basis_vector(i), a, ga._mv_vec(g.row(i)))
+    return ga.vector_part(acc)
+
+
 def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
     """Split dv into dx (div v) plus the compression-insensitive remainder.
 
@@ -106,13 +115,7 @@ def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
 
 def strain_split_of(g: Tensor3, dx: Vec3) -> tuple[Vec3, Vec3]:
     """strain_split from the gradient G."""
-    compressive = trace(g) * dx
-    dxm = ga._mv_vec(dx)
-    acc = Multivector.zero()
-    for i in (1, 2, 3):
-        e_i = Multivector.basis_vector(i)
-        acc = acc + ga.dot(e_i, ga.wedge(dxm, ga._mv_vec(g.row(i))))
-    return compressive, ga.vector_part(acc)
+    return trace(g) * dx, _frame_sum(g, dx, lambda e_i, a, d_i: ga.dot(e_i, ga.wedge(a, d_i)))
 
 
 def bidi_forward(f: Field, x: Vec3, dx: Vec3) -> Vec3:
@@ -126,11 +129,7 @@ def bidi_forward(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 def bidi_forward_of(g: Tensor3, dx: Vec3) -> Vec3:
     """bidi_forward from the gradient G, whose row i is d_i v."""
-    dxm = ga._mv_vec(dx)
-    acc = Multivector.zero()
-    for i in (1, 2, 3):
-        acc = acc + Multivector.basis_vector(i) * dxm * ga._mv_vec(g.row(i))
-    return ga.vector_part(acc)
+    return _frame_sum(g, dx, lambda e_i, a, d_i: e_i * a * d_i)
 
 
 def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
@@ -143,11 +142,7 @@ def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 def bidi_reverse_of(g: Tensor3, dx: Vec3) -> Vec3:
     """bidi_reverse from the gradient G, whose row i is d_i v."""
-    dxm = ga._mv_vec(dx)
-    acc = Multivector.zero()
-    for i in (1, 2, 3):
-        acc = acc + dxm * ga._mv_vec(g.row(i)) * Multivector.basis_vector(i)
-    return ga.vector_part(acc)
+    return _frame_sum(g, dx, lambda e_i, a, d_i: a * d_i * e_i)
 
 
 class KinematicsReport(_Value):
@@ -177,18 +172,12 @@ class KinematicsReport(_Value):
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready mapping; matrices render row-major array-of-arrays."""
+        """JSON-ready mapping: ``dyadics._json_value`` of every field but one.
+
+        omega_bivector keeps only its e12, e13 and e23 coefficients, not eight blades.
+        """
         bv = self.omega_bivector.coeffs
-        return {
-            "point": list(self.point.as_tuple()),
-            "grad_gibbs": self.grad_gibbs.to_lists(),
-            "grad_alt": self.grad_alt.to_lists(),
-            "d": self.d.to_lists(),
-            "omega": self.omega.to_lists(),
-            "omega_bivector": {"e12": bv[4], "e13": bv[5], "e23": bv[6]},
-            "vorticity": list(self.vorticity.as_tuple()),
-            "divergence": self.divergence,
-        }
+        return {**_json_value(self), "omega_bivector": {"e12": bv[4], "e13": bv[5], "e23": bv[6]}}
 
 
 def report(f: Field, x: Vec3) -> KinematicsReport:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 from . import ga
 from .dyadics import (
-    Tensor3, antisym, dyad, max_abs, postfactor, prefactor, sym, trace, transpose,
+    Tensor3, _json_value, antisym, dyad, max_abs, postfactor, prefactor, sym, trace, transpose,
 )
 from .fields import DEFAULT_FD_STEP, Field, _check_fd_step, grad_gibbs
 from .ga import Multivector, Vec3, _Value
@@ -591,11 +591,7 @@ class AuditResult(_Value):
         fields["max_abs_deviation_alt"] = max_abs_deviation_alt
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_abs_deviation_gibbs": self.max_abs_deviation_gibbs,
-            "max_abs_deviation_alt": self.max_abs_deviation_alt,
-        }
+        return _json_value(self)
 
 
 def audit_convention(t: Tensor3, f: Field, x: Vec3, rel_tol: float = 1e-9) -> AuditResult:

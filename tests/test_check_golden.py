@@ -1,9 +1,9 @@
 """`gibbskit check --seed 0` prints exactly the committed golden text.
 
-Seeds 1 to 3 are pinned by the sha256 of their output.  One fixture and
-one digest per seed hold on every supported Python, 3.10 to 3.13: the
-library adds floats left to right, not with the builtin ``sum``, whose
-float result changed in 3.12.
+Seeds 1 to 3, and seed 0 with ``--output json``, are pinned by the sha256
+of their output.  One fixture and one digest per seed hold on every
+supported Python, 3.10 to 3.13: the library adds floats left to right, not
+with the builtin ``sum``, whose float result changed in 3.12.
 """
 
 import hashlib
@@ -39,3 +39,15 @@ def test_check_stdout_digest_is_pinned(capsys, seed):
     assert code == 0
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == CHECK_DIGESTS[seed]
+
+
+# sha256 of `gibbskit check --seed 0 --output json` stdout.
+CHECK_JSON_DIGEST = "eb4142ac20cb3f41b2ad7f4f313169b5c9fcdd7612d8662260abc3cbfcec0eda"
+
+
+def test_check_json_digest_is_pinned(capsys):
+    code = cli.main(["check", "--seed", "0", "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == CHECK_JSON_DIGEST

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gibbskit import BlackBoxField, EvalContext, Poly, PolyField, Vec3, field_from_dict
+from gibbskit import BlackBoxField, EvalContext, Poly, PolyField, Vec3, fd_grad, field_from_dict
 
 
 @pytest.mark.parametrize(
@@ -48,6 +48,12 @@ def test_eval_context_rejects_bad_fd_step(step):
 def test_black_box_field_shares_the_step_rule(step):
     with pytest.raises(ValueError, match="finite-difference step"):
         BlackBoxField(lambda x: x, step=step)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_fd_grad_shares_the_step_rule(step):
+    with pytest.raises(ValueError, match="finite-difference step"):
+        fd_grad(BlackBoxField(lambda x: x), Vec3(0.0, 0.0, 0.0), step)
 
 
 @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
