@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from operator import add, neg, sub
 
-from .ga import BLADE_NAMES, Multivector, Vec3, _new, _Value, _vec3, format_short
+from .ga import BLADE_NAMES, Multivector, Vec3, _is_index, _new, _Value, _vec3, format_short
 
 __all__ = [
     "Tensor3",
@@ -52,17 +52,17 @@ class Tensor3(_Value):
 
     def entry(self, i: int, j: int) -> float:
         """T_ij with 1-based indices."""
-        if i not in (1, 2, 3) or j not in (1, 2, 3):
+        if not (_is_index(i) and _is_index(j)):
             raise ValueError(f"indices must be in 1..3, got ({i}, {j})")
         return self.rows[i - 1][j - 1]
 
     def row(self, i: int) -> Vec3:
-        if i not in (1, 2, 3):
+        if not _is_index(i):
             raise ValueError(f"row index must be in 1..3, got {i}")
         return _vec3(*self.rows[i - 1])
 
     def column(self, j: int) -> Vec3:
-        if j not in (1, 2, 3):
+        if not _is_index(j):
             raise ValueError(f"column index must be in 1..3, got {j}")
         r0, r1, r2 = self.rows
         return _vec3(r0[j - 1], r1[j - 1], r2[j - 1])
@@ -121,7 +121,7 @@ def dyad(a: Vec3, b: Vec3) -> Tensor3:
 
 def nonion_basis(i: int, j: int) -> Tensor3:
     """Basis dyad e_i (x) e_j, 1-based indices."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
+    if not (_is_index(i) and _is_index(j)):
         raise ValueError(f"nonion indices must be in 1..3, got ({i}, {j})")
     return dyad(Vec3.basis(i), Vec3.basis(j))
 

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from functools import cached_property
 
 from .dyadics import Tensor3, _tensor, trace, transpose
-from .ga import Vec3, _Value, _vec3
+from .ga import Vec3, _is_index, _Value, _vec3
 
 __all__ = [
     "Poly",
@@ -50,7 +50,7 @@ Terms = tuple[tuple[Powers, float], ...]
 
 
 def _check_axis(axis) -> None:
-    if isinstance(axis, bool) or not isinstance(axis, int) or axis not in (0, 1, 2):
+    if not _is_index(axis, (0, 1, 2)):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
 
 

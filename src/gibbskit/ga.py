@@ -5,9 +5,11 @@ Multivectors carry 8 coefficients over the canonical basis blades
 anticommute, so the product of two basis blades is computed by merging
 their index sets (bitmask XOR) with a swap-count sign.  The full Cayley
 table, and its grade-filtered copies for the dot and wedge products, are
-precomputed at import; the geometric, dot and wedge products are one
-kernel over those tables.  Every operation below is a pure function over
-immutable values.
+built at import.  The geometric, dot and wedge products are one kernel
+over those tables: for each table and each pattern of nonzero operand
+coefficients, a function that lists only the nonzero blade products is
+compiled on first use and kept in a bounded cache.  Every operation below
+is a pure function over immutable values.
 
 Public constructors validate and coerce what the caller passes.  A result
 whose every field is a float computed from other gibbskit values is built
@@ -19,6 +21,7 @@ the scalar may be complex or a NumPy number.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import add, attrgetter, neg, sub
 
 __all__ = [
@@ -54,21 +57,53 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+class _Table(tuple):
+    # A product table, hashed by identity so that a kernel-cache key is cheap.
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
 # _PRODUCT[i][j] = (j, result slot, sign) for basis blades i, j.  Row i of
 # _DOT and _WEDGE keeps, in the same order, the entries whose result grade
 # is |grade i - grade j| and grade i + grade j respectively.
-_PRODUCT = tuple(
+_PRODUCT = _Table(
     tuple((j, _SLOT_OF_MASK[mi ^ mj], _merge_sign(mi, mj)) for j, mj in enumerate(_MASKS))
     for mi in _MASKS
 )
-_DOT = tuple(
+_DOT = _Table(
     tuple(e for e in row if _GRADES[e[1]] == abs(_GRADES[i] - _GRADES[e[0]]))
     for i, row in enumerate(_PRODUCT)
 )
-_WEDGE = tuple(
+_WEDGE = _Table(
     tuple(e for e in row if _GRADES[e[1]] == _GRADES[i] + _GRADES[e[0]])
     for i, row in enumerate(_PRODUCT)
 )
+
+# checks.run_all uses 34 kernels; 3 tables x 65,536 masks are possible.
+_KERNEL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _kernel(rows: _Table, mask: tuple[bool, ...]):
+    """Product over ``rows`` of operands a, b with ``mask == tuple(map(bool, a + b))``.
+
+    Slot k is ``0.0 ± a[i] * b[j] ± ...`` over the nonzero pairs that land in
+    k, i-major, j-minor: bit for bit the sum ``out[k] += sign * a[i] * b[j]``,
+    since ``sign * x`` is ``±x`` and ``x + -y`` is ``x - y``.  A zero (``±0.0``)
+    is left out, not multiplied, because ``0 * inf`` is ``nan``.
+    """
+    sums = [["0.0"] for _ in range(8)]
+    for i, row in enumerate(rows):
+        if mask[i]:
+            for j, slot, sign in row:
+                if mask[8 + j]:
+                    sums[slot].append(f"{'+' if sign > 0 else '-'} a[{i}] * b[{j}]")
+    return eval(f"lambda a, b: ({', '.join(map(' '.join, sums))})")
+
+
+def _coeffs_product(mc: tuple[float, ...], nc: tuple[float, ...], rows: _Table) -> tuple:
+    """Coefficients of the product over ``rows`` of two 8-tuples of floats."""
+    return _kernel(rows, tuple(map(bool, mc + nc)))(mc, nc)
 
 
 class _Value:
@@ -174,8 +209,13 @@ def _vec3(x: float, y: float, z: float) -> Vec3:
     return v
 
 
+def _is_index(i, allowed=(1, 2, 3)) -> bool:
+    """Whether i is one of ``allowed`` and an int; a bool or a float never is."""
+    return not isinstance(i, bool) and isinstance(i, int) and i in allowed
+
+
 def _basis_index(i: int) -> int:
-    if i not in (1, 2, 3):
+    if not _is_index(i):
         raise ValueError(f"basis index must be 1, 2 or 3, got {i}")
     return i - 1
 
@@ -258,33 +298,14 @@ def _mv_vec(v: Vec3) -> Multivector:
 _MV_BASIS = tuple(map(_mv_vec, _BASIS))
 
 
-def _product(m: Multivector, n: Multivector, rows) -> Multivector:
-    """Sum of the blade products that ``rows`` keeps, i-major, j-minor.
-
-    A zero coefficient is skipped rather than multiplied, because
-    ``0 * inf`` is ``nan``.
-    """
-    out = [0.0] * 8
-    nc = n.coeffs
-    for a, row in zip(m.coeffs, rows):
-        if a == 0.0:
-            continue
-        for j, slot, sign in row:
-            b = nc[j]
-            if b == 0.0:
-                continue
-            out[slot] += sign * a * b
-    return _mv(tuple(out))
-
-
 def geometric_product(m: Multivector, n: Multivector) -> Multivector:
     """Clifford product of two multivectors (associative, non-commutative)."""
-    return _product(m, n, _PRODUCT)
+    return _mv(_coeffs_product(m.coeffs, n.coeffs, _PRODUCT))
 
 
 def grade(m: Multivector, k: int) -> Multivector:
     """Projection of m onto its grade-k part, 0 <= k <= 3."""
-    if not isinstance(k, int) or k < 0 or k > 3:
+    if not _is_index(k, (0, 1, 2, 3)):
         raise ValueError(f"grade must be an integer in 0..3, got {k!r}")
     return _mv(tuple([c if _GRADES[i] == k else 0.0 for i, c in enumerate(m.coeffs)]))
 
@@ -300,12 +321,12 @@ def dot(a: Multivector, b: Multivector) -> Multivector:
     Extended bilinearly over the grade decomposition of both arguments;
     for a scalar operand this reduces to plain scalar multiplication.
     """
-    return _product(a, b, _DOT)
+    return _mv(_coeffs_product(a.coeffs, b.coeffs, _DOT))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Grade-raising product: the grade j+k part of each blade product."""
-    return _product(a, b, _WEDGE)
+    return _mv(_coeffs_product(a.coeffs, b.coeffs, _WEDGE))
 
 
 def scalar_part(m: Multivector) -> float:

@@ -18,10 +18,12 @@ prefactor to keep the same sense of rotation.
 
 from __future__ import annotations
 
+from operator import add
+
 from . import ga
 from .dyadics import Tensor3, _json_value, antisym, postfactor, prefactor, sym, trace, transpose
 from .fields import Field, grad_gibbs
-from .ga import Multivector, Vec3, _Value
+from .ga import _DOT, _PRODUCT, _WEDGE, Multivector, Vec3, _Value, _coeffs_product as _p
 
 __all__ = [
     "KinematicsReport",
@@ -86,7 +88,7 @@ def nabla_wedge_of(g: Tensor3) -> Multivector:
 
 def omega_bivector(f: Field, x: Vec3) -> Multivector:
     """Rotation bivector (1/2) nabla ^ v; dx . omega equals dot(dx, this)."""
-    return 0.5 * nabla_wedge(f, x)
+    return ga._mv(tuple([c * 0.5 for c in nabla_wedge(f, x).coeffs]))
 
 
 def vorticity(f: Field, x: Vec3) -> Vec3:
@@ -94,13 +96,16 @@ def vorticity(f: Field, x: Vec3) -> Vec3:
     return ga.vector_dual(nabla_wedge(f, x))
 
 
+_FRAME = tuple(e.coeffs for e in ga._MV_BASIS)  # coefficients of e1, e2, e3
+
+
 def _frame_sum(g: Tensor3, dx: Vec3, term) -> Vec3:
-    """Grade-1 part of sum_i term(e_i, dx, d_i v), with d_i v row i of G."""
-    a = ga._mv_vec(dx)
-    acc = Multivector.zero()
-    for i in (1, 2, 3):
-        acc = acc + term(Multivector.basis_vector(i), a, ga._mv_vec(g.row(i)))
-    return ga.vector_part(acc)
+    """Grade-1 part of sum_i term(e_i, dx, d_i v), on coefficient tuples added as ``+`` adds."""
+    a = (0.0, dx.x, dx.y, dx.z, 0.0, 0.0, 0.0, 0.0)
+    acc = (0.0,) * 8
+    for e_i, r in zip(_FRAME, g.rows):
+        acc = tuple(map(add, acc, term(e_i, a, (0.0, *r, 0.0, 0.0, 0.0, 0.0))))
+    return ga._vec3(acc[1], acc[2], acc[3])
 
 
 def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
@@ -115,7 +120,9 @@ def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
 
 def strain_split_of(g: Tensor3, dx: Vec3) -> tuple[Vec3, Vec3]:
     """strain_split from the gradient G."""
-    return trace(g) * dx, _frame_sum(g, dx, lambda e_i, a, d_i: ga.dot(e_i, ga.wedge(a, d_i)))
+    s = trace(g)
+    remainder = _frame_sum(g, dx, lambda e_i, a, d_i: _p(e_i, _p(a, d_i, _WEDGE), _DOT))
+    return ga._vec3(dx.x * s, dx.y * s, dx.z * s), remainder
 
 
 def bidi_forward(f: Field, x: Vec3, dx: Vec3) -> Vec3:
@@ -129,7 +136,7 @@ def bidi_forward(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 def bidi_forward_of(g: Tensor3, dx: Vec3) -> Vec3:
     """bidi_forward from the gradient G, whose row i is d_i v."""
-    return _frame_sum(g, dx, lambda e_i, a, d_i: e_i * a * d_i)
+    return _frame_sum(g, dx, lambda e_i, a, d_i: _p(_p(e_i, a, _PRODUCT), d_i, _PRODUCT))
 
 
 def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
@@ -142,7 +149,7 @@ def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 def bidi_reverse_of(g: Tensor3, dx: Vec3) -> Vec3:
     """bidi_reverse from the gradient G, whose row i is d_i v."""
-    return _frame_sum(g, dx, lambda e_i, a, d_i: a * d_i * e_i)
+    return _frame_sum(g, dx, lambda e_i, a, d_i: _p(_p(a, d_i, _PRODUCT), e_i, _PRODUCT))
 
 
 class KinematicsReport(_Value):
@@ -192,7 +199,7 @@ def report(f: Field, x: Vec3) -> KinematicsReport:
         grad_alt=transpose(g),
         d=d,
         omega=omega,
-        omega_bivector=0.5 * nw,
+        omega_bivector=ga._mv(tuple([c * 0.5 for c in nw.coeffs])),
         vorticity=ga.vector_dual(nw),
         divergence=trace(g),
     )

@@ -16,8 +16,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gibbskit import Multivector, Poly, PolyField, Tensor3, Vec3, fields, ga, grad_gibbs
-from gibbskit.dyadics import antisym, dyad, postfactor, prefactor, sym, transpose
-from gibbskit.kinematics import nabla_wedge_of
+from gibbskit.dyadics import antisym, dyad, postfactor, prefactor, sym, trace, transpose
+from gibbskit.kinematics import (
+    bidi_forward_of,
+    bidi_reverse_of,
+    nabla_wedge_of,
+    omega_bivector,
+    report,
+    strain_split_of,
+)
 
 ANY_FLOAT = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5]),
@@ -167,6 +174,79 @@ def test_tensor_results_match_validated_build(s, t):
         assert bits(new(s, t)) == bits(ref(s, t)), name
 
 
+# --- the product kernel: every nonzero pattern --------------------------------------
+
+# Every coefficient nonzero, infinities and nan among them.
+FULL = Multivector((1.5, -math.inf, math.nan, -0.25, 3.0, math.inf, -7.0, 1e300))
+# Finite, with magnitudes far apart, so that summing in another order changes a result.
+SPREAD = Multivector((1e16, 1.0, -1e16, 0.1, 3.0, -1.0, 0.7, 1.0))
+# 5e-324 times a small factor rounds to a signed zero, which a sum from 0.0 turns to +0.0.
+PATTERN_VALUES = (-2.0, math.nan, 0.5, math.inf, -3.25, -math.inf, 1e300, 5e-324)
+
+
+def with_pattern(mask):
+    # Coefficient k is nonzero when bit k of mask is set; the zeros alternate 0.0 and -0.0.
+    return Multivector(
+        tuple(PATTERN_VALUES[k] if mask >> k & 1 else (0.0, -0.0)[k % 2] for k in range(8))
+    )
+
+
+@pytest.mark.parametrize("name", ["geometric", "dot", "wedge"])
+def test_every_nonzero_pattern_matches_the_reference(name):
+    product, ref = MV_CASES[name]
+    for mask in range(256):
+        m = with_pattern(mask)
+        for left, right in ((m, FULL), (FULL, m), (m, SPREAD), (SPREAD, m)):
+            assert bits(product(left, right)) == bits(ref(left, right)), (name, mask)
+            info = ga._kernel.cache_info()
+            assert info.maxsize == ga._KERNEL_CACHE_SIZE and info.currsize <= info.maxsize
+
+
+def test_a_repeated_pattern_reuses_its_kernel():
+    m = Multivector((0.0, 1.0, -2.0, 0.5, 0.0, 0.0, 0.0, 0.0))
+    # The same nonzero slots: -0.0 is a zero, nan and inf are not.
+    n = Multivector((-0.0, math.nan, math.inf, 3.0, 0.0, -0.0, 0.0, 0.0))
+    ga.wedge(m, m)
+    before = ga._kernel.cache_info()
+    ga.wedge(n, m)
+    after = ga._kernel.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+# --- frame sums on coefficient tuples against the multivector operators -------------
+
+
+def frame_sum_of_multivectors(g, dx, term):
+    a = Multivector.from_vec3(dx)
+    acc = Multivector.zero()
+    for i in (1, 2, 3):
+        acc = acc + term(Multivector.basis_vector(i), a, Multivector.from_vec3(g.row(i)))
+    return ga.vector_part(acc)
+
+
+@settings(deadline=None)
+@given(g=TENSORS, dx=VECS)
+# Finite entries far apart in magnitude: summing the frame in another order,
+# or grouping the forward product as e_i (dx d_i), changes a result.
+@example(
+    g=Tensor3(((1e16, -1.0, -1.0), (2.0**53, 1e16, 0.3), (3.0, 0.1, 2.0**53))),
+    dx=Vec3(-1e16, 0.7, 1e16),
+)
+@example(g=Tensor3(((3.0, -1e16, 1.0), (1.0, 3.0, 1e-17), (1.0, 3.0, 3.0))), dx=Vec3(0.3, 0.7, 0.3))
+def test_frame_sums_match_the_multivector_operators(g, dx):
+    compressive, remainder = strain_split_of(g, dx)
+    assert bits(compressive) == bits(trace(g) * dx)
+    assert bits(remainder) == bits(
+        frame_sum_of_multivectors(g, dx, lambda e_i, a, d_i: ga.dot(e_i, ga.wedge(a, d_i)))
+    )
+    assert bits(bidi_forward_of(g, dx)) == bits(
+        frame_sum_of_multivectors(g, dx, lambda e_i, a, d_i: e_i * a * d_i)
+    )
+    assert bits(bidi_reverse_of(g, dx)) == bits(
+        frame_sum_of_multivectors(g, dx, lambda e_i, a, d_i: a * d_i * e_i)
+    )
+
+
 # --- fields: the fused gradient and trusted evaluation ------------------------------
 
 DEGREE_5 = st.tuples(*(st.integers(0, 5) for _ in range(3))).filter(lambda p: sum(p) <= 5)
@@ -192,6 +272,14 @@ def test_field_results_match_validated_build(f, x):
     assert "_partials" not in vars(f)
     lowered = [c.diff(i).terms for c in f.components for i in range(3)]
     assert f._grad_top == fields._top_powers(lowered)
+
+
+@settings(deadline=None)
+@given(FIELDS, POINTS)
+def test_rotation_bivector_matches_validated_scaling(f, x):
+    want = bits(0.5 * nabla_wedge_of(grad_gibbs(f, x)))
+    assert bits(report(f, x).omega_bivector) == want
+    assert bits(omega_bivector(f, x)) == want
 
 
 def test_gradient_tables_stop_at_the_highest_power_used():

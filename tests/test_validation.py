@@ -4,7 +4,19 @@ import math
 
 import pytest
 
-from gibbskit import BlackBoxField, EvalContext, Poly, PolyField, Vec3, fd_grad, field_from_dict
+from gibbskit import (
+    BlackBoxField,
+    EvalContext,
+    Multivector,
+    Poly,
+    PolyField,
+    Tensor3,
+    Vec3,
+    fd_grad,
+    field_from_dict,
+    grade,
+)
+from gibbskit.dyadics import nonion_basis
 
 
 @pytest.mark.parametrize(
@@ -65,3 +77,25 @@ def test_field_from_dict_rejects_non_finite_coeffs(coeff):
     with pytest.raises(ValueError) as info:
         field_from_dict(spec)
     assert info.value.pointer == "/components/1/1/coeff"
+
+
+@pytest.mark.parametrize("i", [True, False, 1.0, 2.0, "1", None], ids=repr)
+def test_one_based_indices_refuse_bools_floats_and_strings(i):
+    t = Tensor3(((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)))
+    m = Multivector((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
+    cases = [
+        (lambda: Vec3.basis(i), f"basis index must be 1, 2 or 3, got {i}"),
+        (lambda: Multivector.basis_vector(i), f"basis index must be 1, 2 or 3, got {i}"),
+        (lambda: t.entry(i, 2), f"indices must be in 1..3, got ({i}, 2)"),
+        (lambda: t.entry(2, i), f"indices must be in 1..3, got (2, {i})"),
+        (lambda: t.row(i), f"row index must be in 1..3, got {i}"),
+        (lambda: t.column(i), f"column index must be in 1..3, got {i}"),
+        (lambda: nonion_basis(i, 1), f"nonion indices must be in 1..3, got ({i}, 1)"),
+        (lambda: nonion_basis(1, i), f"nonion indices must be in 1..3, got (1, {i})"),
+        (lambda: grade(m, i), f"grade must be an integer in 0..3, got {i!r}"),
+        (lambda: m.grade(i), f"grade must be an integer in 0..3, got {i!r}"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == message
