@@ -445,7 +445,15 @@ def field_from_dict(obj) -> PolyField:
         terms = tuple(
             _parse_monomial(m, f"/components/{i}/{k}") for k, m in enumerate(comp)
         )
-        polys.append(Poly(terms))
+        poly = Poly(terms)
+        if len(poly.terms) < len(terms):  # a repeat merged (coeffs added in order) or a 0 dropped
+            sums: dict[Powers, float] = {}
+            for k, (p, c) in enumerate(terms):
+                sums[p] = sums.get(p, 0.0) + c
+                if not math.isfinite(sums[p]):
+                    message = "coeffs of repeated powers must have a finite sum"
+                    raise FieldSpecError(message, f"/components/{i}/{k}/coeff")
+        polys.append(poly)
     return PolyField(tuple(polys))
 
 

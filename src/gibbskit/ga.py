@@ -5,10 +5,10 @@ Multivectors carry 8 coefficients over the canonical basis blades
 anticommute, so the product of two basis blades is computed by merging
 their index sets (bitmask XOR) with a swap-count sign.  The full Cayley
 table, and its grade-filtered copies for the dot and wedge products, are
-built at import.  The geometric, dot and wedge products are one kernel
-over those tables: for each table and each pattern of nonzero operand
-coefficients, a function that lists only the nonzero blade products is
-compiled on first use and kept in a bounded cache.  Every operation below
+built at import.  ``_product_lines`` lists a product over a table as
+straight-line code that skips zero operands at run time; with it, each
+table's product and each frame sum of ``kinematics`` is one function,
+compiled on first use (never at import) and kept.  Every operation below
 is a pure function over immutable values.
 
 Public constructors validate and coerce what the caller passes.  A result
@@ -21,7 +21,7 @@ the scalar may be complex or a NumPy number.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 from operator import add, attrgetter, neg, sub
 
 __all__ = [
@@ -57,53 +57,88 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-class _Table(tuple):
-    # A product table, hashed by identity so that a kernel-cache key is cheap.
-    __slots__ = ()
-    __hash__ = object.__hash__
-
-
 # _PRODUCT[i][j] = (j, result slot, sign) for basis blades i, j.  Row i of
 # _DOT and _WEDGE keeps, in the same order, the entries whose result grade
-# is |grade i - grade j| and grade i + grade j respectively.
-_PRODUCT = _Table(
+# is |grade i - grade j| and grade i + grade j respectively.  Kernels are
+# keyed by table name, in _TABLES.
+_PRODUCT = tuple(
     tuple((j, _SLOT_OF_MASK[mi ^ mj], _merge_sign(mi, mj)) for j, mj in enumerate(_MASKS))
     for mi in _MASKS
 )
-_DOT = _Table(
+_DOT = tuple(
     tuple(e for e in row if _GRADES[e[1]] == abs(_GRADES[i] - _GRADES[e[0]]))
     for i, row in enumerate(_PRODUCT)
 )
-_WEDGE = _Table(
+_WEDGE = tuple(
     tuple(e for e in row if _GRADES[e[1]] == _GRADES[i] + _GRADES[e[0]])
     for i, row in enumerate(_PRODUCT)
 )
-
-# checks.run_all uses 34 kernels; 3 tables x 65,536 masks are possible.
-_KERNEL_CACHE_SIZE = 1024
+_TABLES = {"geometric": _PRODUCT, "dot": _DOT, "wedge": _WEDGE}
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _kernel(rows: _Table, mask: tuple[bool, ...]):
-    """Product over ``rows`` of operands a, b with ``mask == tuple(map(bool, a + b))``.
+def _product_lines(rows: tuple, a, b, out: str, body: list[str]) -> list:
+    """Append to body the product over ``rows`` of operand slots a and b; return its slots.
 
-    Slot k is ``0.0 ± a[i] * b[j] ± ...`` over the nonzero pairs that land in
-    k, i-major, j-minor: bit for bit the sum ``out[k] += sign * a[i] * b[j]``,
-    since ``sign * x`` is ``±x`` and ``x + -y`` is ``x - y``.  A zero (``±0.0``)
-    is left out, not multiplied, because ``0 * inf`` is ``nan``.
+    A slot is None (a literal zero), a non-zero float constant or a local's name.
+    Slot k is None if no pair lands in it, else the local ``{out}{k}``: bit for bit
+    ``out[k] += sign * a[i] * b[j]`` from 0.0 over nonzero pairs, i-major, j-minor,
+    since each local runs under ``if`` (a zero is skipped, as ``0 * inf`` is nan).
     """
-    sums = [["0.0"] for _ in range(8)]
+    slots = [None] * 8
     for i, row in enumerate(rows):
-        if mask[i]:
-            for j, slot, sign in row:
-                if mask[8 + j]:
-                    sums[slot].append(f"{'+' if sign > 0 else '-'} a[{i}] * b[{j}]")
-    return eval(f"lambda a, b: ({', '.join(map(' '.join, sums))})")
+        x, block = a[i], []
+        for j, k, sign in row:
+            if x is None or (y := b[j]) is None:
+                continue
+            if slots[k] is None:
+                slots[k] = f"{out}{k}"
+                body.append(f"{out}{k} = 0.0")
+            add = f"{out}{k} {'+' if sign > 0 else '-'}= {x} * {y}"
+            block.append(f"if {y}: {add}" if isinstance(y, str) else add)
+        if block and isinstance(x, str):
+            block = [f"if {x}:", *(f"    {line}" for line in block)]
+        body += block
+    return slots
 
 
-def _coeffs_product(mc: tuple[float, ...], nc: tuple[float, ...], rows: _Table) -> tuple:
-    """Coefficients of the product over ``rows`` of two 8-tuples of floats."""
-    return _kernel(rows, tuple(map(bool, mc + nc)))(mc, nc)
+def _compile(params: str, lines: list[str], result: str):
+    source = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
+    namespace = {"_vec3": _vec3}
+    exec(f"def kernel({params}):\n{source}", namespace)
+    return namespace["kernel"]
+
+
+@cache
+def _kernel(name: str):
+    """``kernel(a, b)``: the coefficients of the product ``name`` of two 8-tuples."""
+    a, b = [f"a{i}" for i in range(8)], [f"b{j}" for j in range(8)]
+    lines = [f"{', '.join(a)} = a", f"{', '.join(b)} = b"]
+    slots = _product_lines(_TABLES[name], a, b, "c", lines)
+    return _compile("a, b", lines, f"({', '.join(s or '0.0' for s in slots)})")
+
+
+@cache
+def _frame_kernel(term: tuple):
+    """``kernel(g, dx.x, dx.y, dx.z)``: the grade-1 part of sum_i term(e_i, dx, d_i v).
+
+    ``term`` is ``(table name, left, right)``; an operand is a term or a leaf: ``"e"`` is
+    e_i, ``"a"`` dx and ``"d"`` row i of G.  The frame adds from ``0.0`` in i order,
+    skipping slots no pair reaches: a sum from ``0.0`` is never ``-0.0``.
+    """
+    lines = ["(d01, d02, d03), (d11, d12, d13), (d21, d22, d23) = g.rows"]
+
+    def slots(node, i: int, out: str) -> list:
+        if isinstance(node, str):  # a vector: e_i, dx or d_i v
+            vector = {"e": [1.0 if k == i else None for k in range(3)], "a": ["a1", "a2", "a3"],
+                      "d": [f"d{i}1", f"d{i}2", f"d{i}3"]}[node]
+            return [None, *vector, None, None, None, None]
+        name, left, right = node
+        a, b = slots(left, i, out + "l"), slots(right, i, out + "r")
+        return _product_lines(_TABLES[name], a, b, out, lines)
+
+    frame = [slots(term, i, f"t{i}") for i in range(3)]
+    sums = [" + ".join(["0.0", *(f[k] for f in frame if f[k])]) for k in (1, 2, 3)]
+    return _compile("g, a1, a2, a3", lines, f"_vec3({', '.join(sums)})")
 
 
 class _Value:
@@ -300,7 +335,7 @@ _MV_BASIS = tuple(map(_mv_vec, _BASIS))
 
 def geometric_product(m: Multivector, n: Multivector) -> Multivector:
     """Clifford product of two multivectors (associative, non-commutative)."""
-    return _mv(_coeffs_product(m.coeffs, n.coeffs, _PRODUCT))
+    return _mv(_kernel("geometric")(m.coeffs, n.coeffs))
 
 
 def grade(m: Multivector, k: int) -> Multivector:
@@ -321,12 +356,12 @@ def dot(a: Multivector, b: Multivector) -> Multivector:
     Extended bilinearly over the grade decomposition of both arguments;
     for a scalar operand this reduces to plain scalar multiplication.
     """
-    return _mv(_coeffs_product(a.coeffs, b.coeffs, _DOT))
+    return _mv(_kernel("dot")(a.coeffs, b.coeffs))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Grade-raising product: the grade j+k part of each blade product."""
-    return _mv(_coeffs_product(a.coeffs, b.coeffs, _WEDGE))
+    return _mv(_kernel("wedge")(a.coeffs, b.coeffs))
 
 
 def scalar_part(m: Multivector) -> float:

@@ -18,12 +18,10 @@ prefactor to keep the same sense of rotation.
 
 from __future__ import annotations
 
-from operator import add
-
 from . import ga
 from .dyadics import Tensor3, _json_value, antisym, postfactor, prefactor, sym, trace, transpose
 from .fields import Field, grad_gibbs
-from .ga import _DOT, _PRODUCT, _WEDGE, Multivector, Vec3, _Value, _coeffs_product as _p
+from .ga import Multivector, Vec3, _frame_kernel, _Value
 
 __all__ = [
     "KinematicsReport",
@@ -96,18 +94,6 @@ def vorticity(f: Field, x: Vec3) -> Vec3:
     return ga.vector_dual(nabla_wedge(f, x))
 
 
-_FRAME = tuple(e.coeffs for e in ga._MV_BASIS)  # coefficients of e1, e2, e3
-
-
-def _frame_sum(g: Tensor3, dx: Vec3, term) -> Vec3:
-    """Grade-1 part of sum_i term(e_i, dx, d_i v), on coefficient tuples added as ``+`` adds."""
-    a = (0.0, dx.x, dx.y, dx.z, 0.0, 0.0, 0.0, 0.0)
-    acc = (0.0,) * 8
-    for e_i, r in zip(_FRAME, g.rows):
-        acc = tuple(map(add, acc, term(e_i, a, (0.0, *r, 0.0, 0.0, 0.0, 0.0))))
-    return ga._vec3(acc[1], acc[2], acc[3])
-
-
 def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
     """Split dv into dx (div v) plus the compression-insensitive remainder.
 
@@ -119,9 +105,9 @@ def strain_split(f: Field, x: Vec3, dx: Vec3) -> tuple[Vec3, Vec3]:
 
 
 def strain_split_of(g: Tensor3, dx: Vec3) -> tuple[Vec3, Vec3]:
-    """strain_split from the gradient G."""
+    """strain_split from the gradient G; the remainder is one ``ga._frame_kernel``."""
     s = trace(g)
-    remainder = _frame_sum(g, dx, lambda e_i, a, d_i: _p(e_i, _p(a, d_i, _WEDGE), _DOT))
+    remainder = _frame_kernel(("dot", "e", ("wedge", "a", "d")))(g, dx.x, dx.y, dx.z)
     return ga._vec3(dx.x * s, dx.y * s, dx.z * s), remainder
 
 
@@ -135,8 +121,8 @@ def bidi_forward(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 
 def bidi_forward_of(g: Tensor3, dx: Vec3) -> Vec3:
-    """bidi_forward from the gradient G, whose row i is d_i v."""
-    return _frame_sum(g, dx, lambda e_i, a, d_i: _p(_p(e_i, a, _PRODUCT), d_i, _PRODUCT))
+    """bidi_forward from the gradient G (row i is d_i v), by one ``ga._frame_kernel``."""
+    return _frame_kernel(("geometric", ("geometric", "e", "a"), "d"))(g, dx.x, dx.y, dx.z)
 
 
 def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
@@ -148,8 +134,8 @@ def bidi_reverse(f: Field, x: Vec3, dx: Vec3) -> Vec3:
 
 
 def bidi_reverse_of(g: Tensor3, dx: Vec3) -> Vec3:
-    """bidi_reverse from the gradient G, whose row i is d_i v."""
-    return _frame_sum(g, dx, lambda e_i, a, d_i: _p(_p(a, d_i, _PRODUCT), e_i, _PRODUCT))
+    """bidi_reverse from the gradient G (row i is d_i v), by one ``ga._frame_kernel``."""
+    return _frame_kernel(("geometric", ("geometric", "a", "d"), "e"))(g, dx.x, dx.y, dx.z)
 
 
 class KinematicsReport(_Value):

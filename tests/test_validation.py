@@ -68,11 +68,19 @@ def test_fd_grad_shares_the_step_rule(step):
         fd_grad(BlackBoxField(lambda x: x), Vec3(0.0, 0.0, 0.0), step)
 
 
-@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
-def test_field_from_dict_rejects_non_finite_coeffs(coeff):
+@pytest.mark.parametrize(
+    "first, coeff",
+    [
+        pytest.param({"coeff": 1.0, "powers": [0, 0, 0]}, c, id=repr(c))
+        for c in (math.nan, math.inf, -math.inf)
+    ]
+    # Both coeffs are finite, but the monomials share their powers and the sum is not.
+    + [pytest.param({"coeff": 1e308, "powers": [1, 0, 0]}, 1e308, id="repeated-monomial-sum")],
+)
+def test_field_from_dict_rejects_non_finite_coeffs(first, coeff):
     spec = {
         "type": "polynomial",
-        "components": [[], [{"coeff": 1.0, "powers": [0, 0, 0]}, {"coeff": coeff, "powers": [1, 0, 0]}], []],
+        "components": [[], [first, {"coeff": coeff, "powers": [1, 0, 0]}], []],
     }
     with pytest.raises(ValueError) as info:
         field_from_dict(spec)

@@ -308,6 +308,27 @@ def test_cli_import_loads_neither_dataclasses_nor_checks():
     assert res.stdout.strip() == "[]"
 
 
+def test_cli_commands_compile_no_product_kernel():
+    # A GA kernel is compiled on its first use, at about a millisecond each,
+    # and none of these commands multiplies multivectors.
+    probe = (
+        "import contextlib, io, sys\n"
+        "from gibbskit import cli, ga\n"
+        "field = ['--field', sys.argv[1], '--point', '1', '-2', '0.5']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main([c, *field, *rest]) for c, *rest in"
+        " (['kinematics'], ['conventions'], ['eval', 'v'])]\n"
+        "print(codes, ga._kernel.cache_info().currsize, ga._frame_kernel.cache_info().currsize)\n"
+    )
+    shear = SRC.parent / "sample_fields" / "shear.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    res = subprocess.run(
+        [sys.executable, "-c", probe, str(shear)], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[0, 0, 0] 0 0"
+
+
 def test_cli_import_loads_no_typing():
     # -S: a site-packages .pth file may import typing before gibbskit does.
     probe = "import sys, gibbskit.cli\nprint('typing' in sys.modules)\n"
