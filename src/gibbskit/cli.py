@@ -104,7 +104,10 @@ def _finite_float(raw: str, positive: bool = False) -> float:
 
 
 def _fd_step(raw: str) -> float:
-    return _finite_float(raw, positive=True)
+    value = _finite_float(raw, positive=True)
+    if not math.isfinite(2.0 * value):  # central differences divide by 2 * H
+        raise argparse.ArgumentTypeError(f"must be at most half the largest float, got {raw!r}")
+    return value
 
 
 def _binding(raw: str) -> tuple[str, Vec3]:

@@ -88,6 +88,23 @@ def _partials_top(terms: Terms) -> Powers:
     return tx, ty, tz
 
 
+def _canonical(checked: list[tuple[Powers, float]]) -> Terms:
+    """Valid terms merged by exponent triple, zero coefficients dropped, sorted.
+
+    Distinct triples with no zero coefficient only need sorting: 0.0 + c is c.
+    """
+    terms = sorted(checked)
+    prev = None
+    for p, c in terms:
+        if c == 0.0 or p == prev:
+            merged: dict[Powers, float] = {}
+            for q, d in checked:  # in input order, as the sums are defined
+                merged[q] = merged.get(q, 0.0) + d
+            return tuple(sorted((p, c) for p, c in merged.items() if c != 0.0))
+        prev = p
+    return tuple(terms)
+
+
 def _power_tables(p: Vec3, top: Powers) -> tuple[list[float], list[float], list[float]]:
     """``x**k``, ``y**k`` and ``z**k`` for k up to ``top``, one table per axis.
 
@@ -134,11 +151,11 @@ class Poly(_Value):
 
     ``terms`` maps each exponent triple to its coefficient; no triple
     repeats, zero coefficients are dropped, and the triples are sorted, so
-    equal polynomials compare equal.  The constructor validates and
-    canonicalises; ``_trusted`` wraps terms that are already canonical, and
-    ``_with_coeffs`` reuses these monomials with new coefficients.  ``_top``,
-    the power-table sizes of the first partials, is a write-once memo that
-    takes no part in ``==``, ``hash`` or ``repr``.
+    equal polynomials compare equal.  The constructor validates, then
+    ``_canonical`` merges, drops and sorts; ``_trusted`` wraps terms that are
+    already canonical, and ``_with_coeffs`` reuses these monomials with new
+    coefficients.  ``_top``, the power-table sizes of the first partials, is
+    a write-once memo that takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     __match_args__ = ("terms",)
@@ -151,11 +168,6 @@ class Poly(_Value):
 
     def __post_init__(self) -> None:
         checked = []
-        # Input that is already strictly sorted with no zero coefficient is
-        # canonical as it stands: merging would only add each coefficient
-        # to 0.0, which leaves a non-zero float unchanged.
-        canonical = True
-        prev = ()
         for powers, coeff in self.terms:
             p = tuple(powers)
             px, py, pz = p if len(p) == 3 else (None, None, None)
@@ -164,17 +176,8 @@ class Poly(_Value):
                 raise ValueError(f"monomial powers must be 3 non-negative ints: {powers!r}")
             if px > MAX_EXPONENT or py > MAX_EXPONENT or pz > MAX_EXPONENT:
                 raise ValueError(f"monomial exponents must be at most {MAX_EXPONENT}: {powers!r}")
-            c = float(coeff)
-            if c == 0.0 or not prev < p:
-                canonical = False
-            prev = p
-            checked.append((p, c))
-        if not canonical:
-            merged: dict[Powers, float] = {}
-            for p, c in checked:
-                merged[p] = merged.get(p, 0.0) + c
-            checked = sorted((p, c) for p, c in merged.items() if c != 0.0)
-        self.__dict__["terms"] = tuple(checked)
+            checked.append((p, float(coeff)))
+        self.__dict__["terms"] = _canonical(checked)
 
     @classmethod
     def _trusted(cls, terms: Terms) -> "Poly":
@@ -319,9 +322,9 @@ Field = PolyField | BlackBoxField
 
 
 def _check_fd_step(step: float) -> None:
-    """Raise ValueError unless ``step`` is a finite number > 0."""
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
+    """Raise ValueError unless ``step`` > 0 and the divisor ``2 * step`` is finite."""
+    if not (step > 0.0 and math.isfinite(2.0 * step)):
+        raise ValueError(f"finite-difference step must be > 0 with 2 * step finite, got {step}")
 
 
 def fd_grad(f, x: Vec3, step: float | None = None) -> Tensor3:
@@ -395,30 +398,33 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], pointer: str
             raise FieldSpecError(f"missing key {key!r}", pointer)
 
 
-def _parse_monomial(obj, pointer: str) -> tuple[Powers, float]:
+def _parse_monomial(obj, i: int, k: int) -> tuple[Powers, float]:
+    """Monomial k of component i as (powers, coeff), checked as ``Poly`` checks it."""
     if not isinstance(obj, dict):
-        raise FieldSpecError("monomial must be an object", pointer)
-    _require_keys(obj, {"coeff", "powers"}, {"coeff", "powers"}, pointer)
+        raise FieldSpecError("monomial must be an object", f"/components/{i}/{k}")
+    if len(obj) != 2 or "coeff" not in obj or "powers" not in obj:
+        _require_keys(obj, {"coeff", "powers"}, {"coeff", "powers"}, f"/components/{i}/{k}")
     coeff = obj["coeff"]
     if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-        raise FieldSpecError("coeff must be a number", f"{pointer}/coeff")
+        raise FieldSpecError("coeff must be a number", f"/components/{i}/{k}/coeff")
     try:
         c = float(coeff)
     except OverflowError:  # an integer too large for a float
         c = math.inf
     if not math.isfinite(c):
-        raise FieldSpecError("coeff must be finite", f"{pointer}/coeff")
+        raise FieldSpecError("coeff must be finite", f"/components/{i}/{k}/coeff")
     powers = obj["powers"]
     if not isinstance(powers, list) or len(powers) != 3:
-        raise FieldSpecError("powers must be a list of 3 integers", f"{pointer}/powers")
-    for k, e in enumerate(powers):
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise FieldSpecError("exponent must be an integer", f"{pointer}/powers/{k}")
+        raise FieldSpecError("powers must be a list of 3 integers", f"/components/{i}/{k}/powers")
+    for n, e in enumerate(powers):
+        # type(e) is int also refuses bools, and int subclasses that Poly refuses.
+        if type(e) is not int:
+            raise FieldSpecError("exponent must be an integer", f"/components/{i}/{k}/powers/{n}")
         if e < 0:
-            raise FieldSpecError("exponent must be non-negative", f"{pointer}/powers/{k}")
+            raise FieldSpecError("exponent must be non-negative", f"/components/{i}/{k}/powers/{n}")
         if e > MAX_EXPONENT:
             message = f"exponent must be at most {MAX_EXPONENT}"
-            raise FieldSpecError(message, f"{pointer}/powers/{k}")
+            raise FieldSpecError(message, f"/components/{i}/{k}/powers/{n}")
     return tuple(powers), c
 
 
@@ -442,10 +448,8 @@ def field_from_dict(obj) -> PolyField:
     for i, comp in enumerate(comps):
         if not isinstance(comp, list):
             raise FieldSpecError("component must be a list of monomials", f"/components/{i}")
-        terms = tuple(
-            _parse_monomial(m, f"/components/{i}/{k}") for k, m in enumerate(comp)
-        )
-        poly = Poly(terms)
+        terms = [_parse_monomial(m, i, k) for k, m in enumerate(comp)]
+        poly = Poly._trusted(_canonical(terms))
         if len(poly.terms) < len(terms):  # a repeat merged (coeffs added in order) or a 0 dropped
             sums: dict[Powers, float] = {}
             for k, (p, c) in enumerate(terms):

@@ -243,29 +243,22 @@ _ADDITIVE_OPS = (PLUS, MINUS)
 MAX_DEPTH = 100
 
 
+def _unexpected(what: str, tok: Token) -> ParseError:
+    found = repr(tok.text) if tok.text else "end of input"
+    return ParseError(f"expected {what}, found {found}", tok.pos)
+
+
 class _Parser:
-    # Each parse_* method returns its node and the depth of its tree, the
-    # number of operators on its longest path (0 for a leaf); ``nesting``
-    # counts the parentheses now open, including those of ∇(...).
+    # expression: terms joined by + and -.  term: leading minuses, then a
+    # chain of one product operator.  operand: a number, name, ∇, ∇(...) or
+    # (...), then any postfix †.  Each returns its node and the depth of its
+    # tree, the number of operators on its longest path (0 for a leaf);
+    # ``nesting`` counts the parentheses now open, including those of
+    # ∇(...).  ``self.i`` indexes the next token; EOF is never consumed.
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
         self.nesting = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.text else "end of input"
-            raise ParseError(f"expected {what}, found {found}", tok.pos)
-        return self.next()
 
     def deeper(self, depth: int, tok: Token) -> int:
         """``depth + 1``, unless that passes MAX_DEPTH at ``tok``."""
@@ -273,78 +266,76 @@ class _Parser:
             raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", tok.pos)
         return depth + 1
 
-    def parse_expression(self) -> tuple[Expr, int]:
-        node, depth = self.parse_unary()
-        while self.peek().kind in _ADDITIVE_OPS:
-            op_tok = self.next()
-            right, right_depth = self.parse_unary()
-            depth = self.deeper(max(depth, right_depth), op_tok)
-            node = Binary(op_tok.kind, node, right, pos=op_tok.pos)
+    def expression(self) -> tuple[Expr, int]:
+        tokens = self.tokens
+        node, depth = self.term()
+        while (tok := tokens[self.i]).kind in _ADDITIVE_OPS:
+            self.i += 1
+            right, right_depth = self.term()
+            depth = self.deeper(max(depth, right_depth), tok)
+            node = Binary(tok.kind, node, right, pos=tok.pos)
         return node, depth
 
-    def parse_unary(self) -> tuple[Expr, int]:
-        if self.peek().kind != MINUS:
-            return self.parse_product()
-        signs = []
-        while self.peek().kind == MINUS:
-            signs.append(self.next())
-        node, depth = self.parse_product()
-        for tok in reversed(signs):
-            depth = self.deeper(depth, tok)
-            node = Unary("neg", node, pos=tok.pos)
-        return node, depth
-
-    def parse_product(self) -> tuple[Expr, int]:
-        node, depth = self.parse_postfix()
-        chain_op: Token | None = None
-        while self.peek().kind in _PRODUCT_OPS:
-            op_tok = self.next()
-            if chain_op is None:
-                chain_op = op_tok
-            elif op_tok.kind != chain_op.kind:
+    def term(self) -> tuple[Expr, int]:
+        tokens = self.tokens
+        first = self.i
+        while tokens[self.i].kind == MINUS:
+            self.i += 1
+        signs = self.i - first
+        node, depth = self.operand()
+        chain_op = tokens[self.i].kind
+        while (tok := tokens[self.i]).kind in _PRODUCT_OPS:
+            self.i += 1
+            if tok.kind != chain_op:
                 raise ParseError(
-                    f"ambiguous chain of {OP_SYMBOL[chain_op.kind]!r} and "
-                    f"{OP_SYMBOL[op_tok.kind]!r}: parenthesize one of them",
-                    op_tok.pos,
+                    f"ambiguous chain of {OP_SYMBOL[chain_op]!r} and "
+                    f"{OP_SYMBOL[tok.kind]!r}: parenthesize one of them",
+                    tok.pos,
                 )
-            right, right_depth = self.parse_postfix()
-            depth = self.deeper(max(depth, right_depth), op_tok)
-            node = Binary(op_tok.kind, node, right, pos=op_tok.pos)
+            right, right_depth = self.operand()
+            depth = self.deeper(max(depth, right_depth), tok)
+            node = Binary(tok.kind, node, right, pos=tok.pos)
+        if signs:
+            for tok in reversed(tokens[first : first + signs]):
+                depth = self.deeper(depth, tok)
+                node = Unary("neg", node, pos=tok.pos)
         return node, depth
 
-    def parse_postfix(self) -> tuple[Expr, int]:
-        node, depth = self.parse_primary()
-        while self.peek().kind == TRANSPOSE:
-            tok = self.next()
+    def operand(self) -> tuple[Expr, int]:
+        tokens = self.tokens
+        tok = tokens[self.i]
+        self.i += 1
+        kind = tok.kind
+        if kind == IDENT:
+            node, depth = VectorRef(tok.text, pos=tok.pos), 0
+        elif kind == LPAREN:
+            node, depth = self.parenthesized(tok)
+        elif kind == NUMBER:
+            node, depth = ScalarLit(float(tok.text), pos=tok.pos), 0
+        elif kind == NABLA and (open_tok := tokens[self.i]).kind == LPAREN:
+            # Direct application: gradient of a scalar subexpression.
+            self.i += 1
+            inner, depth = self.parenthesized(open_tok)
+            node = Binary(APPLY, Nabla(pos=tok.pos), inner, pos=open_tok.pos)
+            depth = self.deeper(depth, open_tok)
+        elif kind == NABLA:
+            node, depth = Nabla(pos=tok.pos), 0
+        else:
+            raise _unexpected("an operand", tok)
+        while (tok := tokens[self.i]).kind == TRANSPOSE:
+            self.i += 1
             depth = self.deeper(depth, tok)
             node = Unary("transpose", node, pos=tok.pos)
         return node, depth
 
-    def parse_parenthesized(self, open_tok: Token) -> tuple[Expr, int]:
+    def parenthesized(self, open_tok: Token) -> tuple[Expr, int]:
         self.nesting = self.deeper(self.nesting, open_tok)
-        inner = self.parse_expression()
-        self.expect(RPAREN, "')'")
+        inner = self.expression()
+        if (tok := self.tokens[self.i]).kind != RPAREN:
+            raise _unexpected("')'", tok)
+        self.i += 1
         self.nesting -= 1
         return inner
-
-    def parse_primary(self) -> tuple[Expr, int]:
-        tok = self.next()
-        if tok.kind == NUMBER:
-            return ScalarLit(float(tok.text), pos=tok.pos), 0
-        if tok.kind == IDENT:
-            return VectorRef(tok.text, pos=tok.pos), 0
-        if tok.kind == NABLA:
-            if self.peek().kind != LPAREN:
-                return Nabla(pos=tok.pos), 0
-            # Direct application: gradient of a scalar subexpression.
-            open_tok = self.next()
-            inner, depth = self.parse_parenthesized(open_tok)
-            node = Binary(APPLY, Nabla(pos=tok.pos), inner, pos=open_tok.pos)
-            return node, self.deeper(depth, open_tok)
-        if tok.kind == LPAREN:
-            return self.parse_parenthesized(tok)
-        found = repr(tok.text) if tok.text else "end of input"
-        raise ParseError(f"expected an operand, found {found}", tok.pos)
 
 
 def _check_nabla_positions(node: Expr, allowed: bool) -> None:
@@ -368,8 +359,9 @@ def _check_nabla_positions(node: Expr, allowed: bool) -> None:
 
 def parse_tokens(tokens: list[Token]) -> Expr:
     parser = _Parser(tokens)
-    node, _ = parser.parse_expression()
-    parser.expect(EOF, "end of input")
+    node, _ = parser.expression()
+    if (tok := tokens[parser.i]).kind != EOF:
+        raise _unexpected("end of input", tok)
     _check_nabla_positions(node, False)
     return node
 
@@ -425,7 +417,8 @@ class EvalContext(_Value):
     ``d`` and ``Omega`` (alias ``Ω``) resolve to the strain and rotation
     tensors of the field at the point unless shadowed by a binding.
     ``fd_step`` controls the fallback numerical gradient used when ∇ is
-    applied to a general scalar subexpression; it must be finite and > 0.
+    applied to a general scalar subexpression; it must be > 0 with
+    ``2 * fd_step`` finite.
     The gradient G at the point is computed once per context, on first
     use, and every derivative form derives from it.  ``bindings`` defaults
     to a fresh empty dict; a context holding a dict is not hashable.

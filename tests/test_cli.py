@@ -117,7 +117,7 @@ def test_eval_fd_step_flag():
     assert out.strip() == "(2, 2, 2)"
 
 
-@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-400", "h"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-400", "h", "1e308"])
 def test_eval_fd_step_rejects_non_positive_or_non_finite(step):
     code, out, err = run_cli(
         [

@@ -1,7 +1,9 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gibbskit import (
     BlackBoxField,
@@ -18,7 +20,7 @@ from gibbskit import (
     transpose,
 )
 from gibbskit.dyadics import max_abs
-from gibbskit.fields import partial_vectors
+from gibbskit.fields import MAX_EXPONENT, Powers, _require_keys, partial_vectors
 
 from helpers import fit_slope, radial_field, rand_cubic, rand_unit, rand_vec, rigid_rotation
 
@@ -265,3 +267,129 @@ def test_load_field_round_trip(tmp_path):
     bad.write_text("{ not json")
     with pytest.raises(FieldSpecError):
         load_field(str(bad))
+
+
+def reference_parse_monomial(obj, pointer: str) -> tuple[Powers, float]:
+    if not isinstance(obj, dict):
+        raise FieldSpecError("monomial must be an object", pointer)
+    _require_keys(obj, {"coeff", "powers"}, {"coeff", "powers"}, pointer)
+    coeff = obj["coeff"]
+    if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+        raise FieldSpecError("coeff must be a number", f"{pointer}/coeff")
+    try:
+        c = float(coeff)
+    except OverflowError:  # an integer too large for a float
+        c = math.inf
+    if not math.isfinite(c):
+        raise FieldSpecError("coeff must be finite", f"{pointer}/coeff")
+    powers = obj["powers"]
+    if not isinstance(powers, list) or len(powers) != 3:
+        raise FieldSpecError("powers must be a list of 3 integers", f"{pointer}/powers")
+    for k, e in enumerate(powers):
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise FieldSpecError("exponent must be an integer", f"{pointer}/powers/{k}")
+        if e < 0:
+            raise FieldSpecError("exponent must be non-negative", f"{pointer}/powers/{k}")
+        if e > MAX_EXPONENT:
+            message = f"exponent must be at most {MAX_EXPONENT}"
+            raise FieldSpecError(message, f"{pointer}/powers/{k}")
+    return tuple(powers), c
+
+
+def reference_field_from_dict(obj) -> PolyField:
+    """The two-pass builder: each monomial checked here, then again by ``Poly``.
+
+    Unknown keys are rejected; errors carry a JSON pointer to the
+    offending element.
+    """
+    if not isinstance(obj, dict):
+        raise FieldSpecError("field spec must be an object", "")
+    _require_keys(obj, {"type", "components"}, {"type", "components"}, "")
+    if obj["type"] != "polynomial":
+        raise FieldSpecError(
+            f"unsupported field type {obj['type']!r} (only 'polynomial')", "/type"
+        )
+    comps = obj["components"]
+    if not isinstance(comps, list) or len(comps) != 3:
+        raise FieldSpecError("components must be a list of 3 monomial lists", "/components")
+    polys = []
+    for i, comp in enumerate(comps):
+        if not isinstance(comp, list):
+            raise FieldSpecError("component must be a list of monomials", f"/components/{i}")
+        terms = tuple(
+            reference_parse_monomial(m, f"/components/{i}/{k}") for k, m in enumerate(comp)
+        )
+        poly = Poly(terms)
+        if len(poly.terms) < len(terms):  # a repeat merged (coeffs added in order) or a 0 dropped
+            sums: dict[Powers, float] = {}
+            for k, (p, c) in enumerate(terms):
+                sums[p] = sums.get(p, 0.0) + c
+                if not math.isfinite(sums[p]):
+                    message = "coeffs of repeated powers must have a finite sum"
+                    raise FieldSpecError(message, f"/components/{i}/{k}/coeff")
+        polys.append(poly)
+    return PolyField(tuple(polys))
+
+
+def build_outcome(build, spec):
+    """The field's repr and every coefficient's bits, or the error's text and pointer."""
+    try:
+        f = build(spec)
+    except FieldSpecError as exc:
+        return str(exc), exc.pointer
+    return repr(f), [c.hex() for comp in f.components for _, c in comp.terms]
+
+
+SMALL_POWERS = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+FINITE_COEFFS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+    st.sampled_from([0, 0.0, -0.0, 1e308, -1e308]),
+)
+GOOD_MONOMIALS = st.fixed_dictionaries({"coeff": FINITE_COEFFS, "powers": SMALL_POWERS})
+BAD_EXPONENTS = st.sampled_from([True, False, 1.0, -1, MAX_EXPONENT, MAX_EXPONENT + 1, "1", None])
+BAD_POWERS = st.lists(st.one_of(st.integers(0, 2), BAD_EXPONENTS), min_size=3, max_size=3)
+BAD_MONOMIALS = st.one_of(
+    st.fixed_dictionaries({"coeff": FINITE_COEFFS, "powers": BAD_POWERS}),
+    st.fixed_dictionaries({
+        "coeff": st.sampled_from([True, "1", None, 10**400, math.nan, math.inf, -math.inf]),
+        "powers": SMALL_POWERS,
+    }),
+    st.fixed_dictionaries({
+        "coeff": FINITE_COEFFS,
+        "powers": st.one_of(
+            st.lists(st.integers(0, 2), max_size=4),
+            st.sampled_from([None, "000", (0, 0, 0)]),
+        ),
+    }),
+    # Missing and extra keys.
+    st.fixed_dictionaries(
+        {}, optional={"coeff": FINITE_COEFFS, "powers": SMALL_POWERS, "stray": st.just(0)}
+    ),
+    st.sampled_from([None, 1, [], "monomial"]),
+)
+# Mostly good monomials on few exponent triples, so repeats are common.
+MONOMIALS = st.one_of(GOOD_MONOMIALS, GOOD_MONOMIALS, GOOD_MONOMIALS, BAD_MONOMIALS)
+SPECS = st.fixed_dictionaries({
+    "type": st.just("polynomial"),
+    "components": st.lists(st.lists(MONOMIALS, max_size=6), min_size=3, max_size=3),
+})
+OVERFLOWING = {"coeff": 1e308, "powers": [1, 0, 0]}
+
+
+@settings(deadline=None, max_examples=500)
+@given(SPECS)
+@example({"type": "polynomial", "components": [[], [OVERFLOWING, OVERFLOWING], []]})
+@example({  # a bad monomial later in the component is reported before the sum
+    "type": "polynomial",
+    "components": [[], [OVERFLOWING, OVERFLOWING, {"coeff": 1.0, "powers": [-1, 0, 0]}], []],
+})
+@example({"type": "polynomial", "components": [[{"coeff": -0.0, "powers": [0, 0, 0]}], [], []]})
+@example({
+    "type": "polynomial",
+    "components": [[{"coeff": 1, "powers": [0, MAX_EXPONENT, 0]}], [], [
+        {"coeff": 1.0, "powers": [MAX_EXPONENT + 1, 0, 0]}
+    ]],
+})
+def test_field_from_dict_matches_the_two_pass_builder(spec):
+    assert build_outcome(field_from_dict, spec) == build_outcome(reference_field_from_dict, spec)

@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gibbskit import (
     BindingError,
@@ -33,6 +33,11 @@ from gibbskit import (
 )
 from gibbskit import notation
 from gibbskit.notation import Binary, Nabla, ScalarLit, Token, Unary, VectorRef, parse_tokens
+# What the reference parser below reads from the module.
+from gibbskit.notation import (
+    _ADDITIVE_OPS, _PRODUCT_OPS, APPLY, EOF, IDENT, LPAREN, MAX_DEPTH, MINUS, NABLA, NUMBER,
+    OP_SYMBOL, RPAREN, TRANSPOSE, Expr, _check_nabla_positions,
+)
 
 from helpers import radial_field, rand_cubic, rand_vec, shear_field, vec_close
 
@@ -223,6 +228,161 @@ def test_parse_nabla_position_rules():
 
 def test_parse_tokens_entry_point():
     assert parse_tokens(tokenize("∇ · v")) == parse("∇ · v")
+
+
+class ReferenceParser:
+    """The five-method parser that the three-level one replaced, kept as it was."""
+
+    # Each parse_* method returns its node and the depth of its tree, the
+    # number of operators on its longest path (0 for a leaf); ``nesting``
+    # counts the parentheses now open, including those of ∇(...).
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.i = 0
+        self.nesting = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            found = repr(tok.text) if tok.text else "end of input"
+            raise ParseError(f"expected {what}, found {found}", tok.pos)
+        return self.next()
+
+    def deeper(self, depth: int, tok: Token) -> int:
+        """``depth + 1``, unless that passes MAX_DEPTH at ``tok``."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", tok.pos)
+        return depth + 1
+
+    def parse_expression(self) -> tuple[Expr, int]:
+        node, depth = self.parse_unary()
+        while self.peek().kind in _ADDITIVE_OPS:
+            op_tok = self.next()
+            right, right_depth = self.parse_unary()
+            depth = self.deeper(max(depth, right_depth), op_tok)
+            node = Binary(op_tok.kind, node, right, pos=op_tok.pos)
+        return node, depth
+
+    def parse_unary(self) -> tuple[Expr, int]:
+        if self.peek().kind != MINUS:
+            return self.parse_product()
+        signs = []
+        while self.peek().kind == MINUS:
+            signs.append(self.next())
+        node, depth = self.parse_product()
+        for tok in reversed(signs):
+            depth = self.deeper(depth, tok)
+            node = Unary("neg", node, pos=tok.pos)
+        return node, depth
+
+    def parse_product(self) -> tuple[Expr, int]:
+        node, depth = self.parse_postfix()
+        chain_op: Token | None = None
+        while self.peek().kind in _PRODUCT_OPS:
+            op_tok = self.next()
+            if chain_op is None:
+                chain_op = op_tok
+            elif op_tok.kind != chain_op.kind:
+                raise ParseError(
+                    f"ambiguous chain of {OP_SYMBOL[chain_op.kind]!r} and "
+                    f"{OP_SYMBOL[op_tok.kind]!r}: parenthesize one of them",
+                    op_tok.pos,
+                )
+            right, right_depth = self.parse_postfix()
+            depth = self.deeper(max(depth, right_depth), op_tok)
+            node = Binary(op_tok.kind, node, right, pos=op_tok.pos)
+        return node, depth
+
+    def parse_postfix(self) -> tuple[Expr, int]:
+        node, depth = self.parse_primary()
+        while self.peek().kind == TRANSPOSE:
+            tok = self.next()
+            depth = self.deeper(depth, tok)
+            node = Unary("transpose", node, pos=tok.pos)
+        return node, depth
+
+    def parse_parenthesized(self, open_tok: Token) -> tuple[Expr, int]:
+        self.nesting = self.deeper(self.nesting, open_tok)
+        inner = self.parse_expression()
+        self.expect(RPAREN, "')'")
+        self.nesting -= 1
+        return inner
+
+    def parse_primary(self) -> tuple[Expr, int]:
+        tok = self.next()
+        if tok.kind == NUMBER:
+            return ScalarLit(float(tok.text), pos=tok.pos), 0
+        if tok.kind == IDENT:
+            return VectorRef(tok.text, pos=tok.pos), 0
+        if tok.kind == NABLA:
+            if self.peek().kind != LPAREN:
+                return Nabla(pos=tok.pos), 0
+            # Direct application: gradient of a scalar subexpression.
+            open_tok = self.next()
+            inner, depth = self.parse_parenthesized(open_tok)
+            node = Binary(APPLY, Nabla(pos=tok.pos), inner, pos=open_tok.pos)
+            return node, self.deeper(depth, open_tok)
+        if tok.kind == LPAREN:
+            return self.parse_parenthesized(tok)
+        found = repr(tok.text) if tok.text else "end of input"
+        raise ParseError(f"expected an operand, found {found}", tok.pos)
+
+
+def reference_parse_tokens(tokens: list[Token]) -> Expr:
+    parser = ReferenceParser(tokens)
+    node, _ = parser.parse_expression()
+    parser.expect(EOF, "end of input")
+    _check_nabla_positions(node, False)
+    return node
+
+
+def parse_outcome(parser, tokens):
+    """The AST's repr, which shows every ``pos``, or the error's type, text and offset."""
+    try:
+        return repr(parser(tokens))
+    except ParseError as exc:
+        return type(exc), str(exc), exc.pos
+
+
+# Chains of each nesting construct, n levels deep.
+CHAINS = {
+    "parentheses": lambda n: "(" * n + "v" + ")" * n,
+    "minuses": lambda n: "-" * n + "v",
+    "transposes": lambda n: "d" + "†" * n,
+    "sum chain": lambda n: " + ".join(["v"] * (n + 1)),
+    "product chain": lambda n: " * ".join(["2"] * n) + " * v",
+    "gradient applications": lambda n: "∇(" * n + "c · v" + ")" * n,
+    "right-nested products": lambda n: "dr · (" * n + "v" + ")" * n,
+}
+
+PIECE_STRINGS = st.lists(st.sampled_from(LEXER_PIECES), max_size=16).map("".join)
+DEEP_CHAINS = st.builds(
+    lambda head, kind, n, tail: head + CHAINS[kind](n) + tail,
+    st.lists(st.sampled_from(LEXER_PIECES), max_size=3).map("".join),
+    st.sampled_from(sorted(CHAINS)),
+    st.integers(MAX_DEPTH - 1, MAX_DEPTH + 1),
+    st.lists(st.sampled_from(LEXER_PIECES), max_size=3).map("".join),
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(PIECE_STRINGS, DEEP_CHAINS))
+@example("∇ + (v")  # a misplaced ∇ loses to a later syntax error
+@example("∇ + " + CHAINS["parentheses"](MAX_DEPTH + 1))
+def test_parser_matches_the_five_method_parser(src):
+    try:
+        tokens = tokenize(src)
+    except LexError:
+        return
+    assert parse_outcome(parse_tokens, tokens) == parse_outcome(reference_parse_tokens, tokens)
 
 
 def test_render_round_trip():

@@ -49,20 +49,20 @@ def test_field_from_dict_still_rejects_bool_exponent():
         field_from_dict(spec)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("step", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])
 def test_eval_context_rejects_bad_fd_step(step):
     f = PolyField((Poly.zero(), Poly.zero(), Poly.zero()))
     with pytest.raises(ValueError, match="finite-difference step"):
         EvalContext(f, Vec3(0.0, 0.0, 0.0), {}, fd_step=step)
 
 
-@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 1e308])
 def test_black_box_field_shares_the_step_rule(step):
     with pytest.raises(ValueError, match="finite-difference step"):
         BlackBoxField(lambda x: x, step=step)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("step", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])
 def test_fd_grad_shares_the_step_rule(step):
     with pytest.raises(ValueError, match="finite-difference step"):
         fd_grad(BlackBoxField(lambda x: x), Vec3(0.0, 0.0, 0.0), step)
