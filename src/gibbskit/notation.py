@@ -255,10 +255,13 @@ class _Parser:
     # tree, the number of operators on its longest path (0 for a leaf);
     # ``nesting`` counts the parentheses now open, including those of
     # ∇(...).  ``self.i`` indexes the next token; EOF is never consumed.
+    # ``strays`` holds, in source order, the offset of each bare ∇ not yet
+    # taken as the left operand of a product, its only legal place.
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
         self.nesting = 0
+        self.strays: list[int] = []
 
     def deeper(self, depth: int, tok: Token) -> int:
         """``depth + 1``, unless that passes MAX_DEPTH at ``tok``."""
@@ -284,6 +287,8 @@ class _Parser:
         signs = self.i - first
         node, depth = self.operand()
         chain_op = tokens[self.i].kind
+        if chain_op in _PRODUCT_OPS and isinstance(node, Nabla):
+            self.strays.remove(node.pos)
         while (tok := tokens[self.i]).kind in _PRODUCT_OPS:
             self.i += 1
             if tok.kind != chain_op:
@@ -320,6 +325,7 @@ class _Parser:
             depth = self.deeper(depth, open_tok)
         elif kind == NABLA:
             node, depth = Nabla(pos=tok.pos), 0
+            self.strays.append(tok.pos)
         else:
             raise _unexpected("an operand", tok)
         while (tok := tokens[self.i]).kind == TRANSPOSE:
@@ -338,31 +344,14 @@ class _Parser:
         return inner
 
 
-def _check_nabla_positions(node: Expr, allowed: bool) -> None:
-    # A bare nabla is only legal as the left operand of a product operator
-    # or of a direct application; anywhere else the expression has no
-    # one-sided meaning.
-    if isinstance(node, Nabla):
-        if not allowed:
-            raise ParseError(
-                "∇ may only appear to the left of ⊗, ·, ∧, ×, or applied as ∇(...)",
-                node.pos,
-            )
-        return
-    if isinstance(node, Unary):
-        _check_nabla_positions(node.operand, False)
-    elif isinstance(node, Binary):
-        left_ok = node.op in _PRODUCT_OPS or node.op == APPLY
-        _check_nabla_positions(node.left, left_ok)
-        _check_nabla_positions(node.right, False)
-
-
 def parse_tokens(tokens: list[Token]) -> Expr:
     parser = _Parser(tokens)
     node, _ = parser.expression()
     if (tok := tokens[parser.i]).kind != EOF:
         raise _unexpected("end of input", tok)
-    _check_nabla_positions(node, False)
+    if parser.strays:  # raised last, so that a syntax or depth error wins
+        msg = "∇ may only appear to the left of ⊗, ·, ∧, ×, or applied as ∇(...)"
+        raise ParseError(msg, parser.strays[0])
     return node
 
 
@@ -471,6 +460,10 @@ def _eval_nabla_op(op: str, right: Expr, ctx: EvalContext, pos: int) -> Value:
     raise EvalError(f"∇ cannot be combined with {OP_SYMBOL[op]!r}", pos)
 
 
+class _Shifted(EvalContext):
+    """A context moved off the point by one central-difference step."""
+
+
 def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
     # Exact chain rule for the common case  ∇(c · v)  with c a constant.
     if isinstance(inner, Binary) and inner.op == DOT:
@@ -484,13 +477,18 @@ def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
     val = evaluate(inner, ctx)
     if value_kind(val) != "scalar":
         raise EvalError(f"∇(...) needs a scalar expression, got {value_kind(val)}", pos)
+    if isinstance(ctx, _Shifted):  # differences of differences: 7x the work per level
+        raise EvalError("a nested ∇(...) must be ∇(c · v) with c bound", pos)
     h = ctx.fd_step
     comps = []
     for i in (1, 2, 3):
         e_i = Vec3.basis(i)
-        up = evaluate(inner, EvalContext(ctx.field, ctx.point + h * e_i, ctx.bindings, h))
-        dn = evaluate(inner, EvalContext(ctx.field, ctx.point - h * e_i, ctx.bindings, h))
-        comps.append((up - dn) / (2.0 * h))
+        up = evaluate(inner, _Shifted(ctx.field, ctx.point + h * e_i, ctx.bindings, h))
+        dn = evaluate(inner, _Shifted(ctx.field, ctx.point - h * e_i, ctx.bindings, h))
+        comp = (up - dn) / (2.0 * h)
+        if not math.isfinite(comp) and math.isfinite(up) and math.isfinite(dn):
+            raise EvalError(f"∇(...) central difference overflows at fd_step {h!r}", pos)
+        comps.append(comp)
     return Vec3(*comps)
 
 

@@ -36,7 +36,7 @@ from gibbskit.notation import Binary, Nabla, ScalarLit, Token, Unary, VectorRef,
 # What the reference parser below reads from the module.
 from gibbskit.notation import (
     _ADDITIVE_OPS, _PRODUCT_OPS, APPLY, EOF, IDENT, LPAREN, MAX_DEPTH, MINUS, NABLA, NUMBER,
-    OP_SYMBOL, RPAREN, TRANSPOSE, Expr, _check_nabla_positions,
+    OP_SYMBOL, RPAREN, TRANSPOSE, Expr,
 )
 
 from helpers import radial_field, rand_cubic, rand_vec, shear_field, vec_close
@@ -336,6 +336,25 @@ class ReferenceParser:
         raise ParseError(f"expected an operand, found {found}", tok.pos)
 
 
+def _check_nabla_positions(node: Expr, allowed: bool) -> None:
+    # A bare nabla is only legal as the left operand of a product operator
+    # or of a direct application; anywhere else the expression has no
+    # one-sided meaning.
+    if isinstance(node, Nabla):
+        if not allowed:
+            raise ParseError(
+                "∇ may only appear to the left of ⊗, ·, ∧, ×, or applied as ∇(...)",
+                node.pos,
+            )
+        return
+    if isinstance(node, Unary):
+        _check_nabla_positions(node.operand, False)
+    elif isinstance(node, Binary):
+        left_ok = node.op in _PRODUCT_OPS or node.op == APPLY
+        _check_nabla_positions(node.left, left_ok)
+        _check_nabla_positions(node.right, False)
+
+
 def reference_parse_tokens(tokens: list[Token]) -> Expr:
     parser = ReferenceParser(tokens)
     node, _ = parser.parse_expression()
@@ -377,6 +396,13 @@ DEEP_CHAINS = st.builds(
 @given(st.one_of(PIECE_STRINGS, DEEP_CHAINS))
 @example("∇ + (v")  # a misplaced ∇ loses to a later syntax error
 @example("∇ + " + CHAINS["parentheses"](MAX_DEPTH + 1))
+@example("(∇) ⊗ v")
+@example("((∇)) · v")
+@example("∇ + (∇†)")
+@example("∇(∇)")
+@example("(∇)† · v")
+@example("-∇ ⊗ v")
+@example("∇ ⊗ v ⊗ ∇")
 def test_parser_matches_the_five_method_parser(src):
     try:
         tokens = tokenize(src)
