@@ -330,18 +330,25 @@ def _check_fd_step(step: float) -> None:
 def fd_grad(f, x: Vec3, step: float | None = None) -> Tensor3:
     """Central-difference gradient, entry (i, j) = [v_j(x+h e_i) - v_j(x-h e_i)] / 2h.
 
-    Exact on affine fields for any h, O(h^2) otherwise.  Works on anything
-    with an ``eval(Vec3) -> Vec3`` method.
+    No truncation error on affine fields, O(h^2) otherwise; works on anything
+    with an ``eval(Vec3) -> Vec3`` method.  Raises FloatingPointError, after the
+    two evaluations along axis i, if x + h e_i or x - h e_i rounds to x (the step
+    is lost) or a quotient is not finite although both of its values are.
     """
     if step is None:
         step = f.step if isinstance(f, BlackBoxField) else DEFAULT_FD_STEP
     _check_fd_step(step)
     rows = []
-    for i in (1, 2, 3):
+    for i, c in zip((1, 2, 3), x.as_tuple()):
         e_i = Vec3.basis(i)
-        plus = f.eval(x + step * e_i)
-        minus = f.eval(x - step * e_i)
-        rows.append(tuple((p - m) / (2.0 * step) for p, m in zip(plus.as_tuple(), minus.as_tuple())))
+        plus = f.eval(x + step * e_i).as_tuple()
+        minus = f.eval(x - step * e_i).as_tuple()
+        if c + step == c or c - step == c:
+            raise FloatingPointError(f"central difference fd_step {step!r} is lost in x_{i} = {c!r}")
+        rows.append(row := tuple((p - m) / (2.0 * step) for p, m in zip(plus, minus)))
+        if any(not math.isfinite(q) and math.isfinite(p) and math.isfinite(m)
+               for q, p, m in zip(row, plus, minus)):
+            raise FloatingPointError(f"central difference overflows at fd_step {step!r}")
     return Tensor3(tuple(rows))
 
 
@@ -351,7 +358,7 @@ def grad_gibbs(f: Field, x: Vec3) -> Tensor3:
     A ``PolyField`` keeps the last point and its ``G``, and a call with that
     same ``Vec3`` object returns the kept ``G``: a ``Vec3`` cannot change.
     Any other point is differentiated and replaces it.  A ``BlackBoxField``
-    is differentiated on every call.
+    goes through ``fd_grad``, and its refusals, on every call.
     """
     if isinstance(f, PolyField):
         memo = f.__dict__

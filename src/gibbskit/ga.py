@@ -76,19 +76,20 @@ _WEDGE = tuple(
 _TABLES = {"geometric": _PRODUCT, "dot": _DOT, "wedge": _WEDGE}
 
 
-def _product_lines(rows: tuple, a, b, out: str, body: list[str]) -> list:
+def _product_lines(rows: tuple, a, b, out: str, body: list[str], wanted=range(8)) -> list:
     """Append to body the product over ``rows`` of operand slots a and b; return its slots.
 
     A slot is None (a literal zero), a non-zero float constant or a local's name.
-    Slot k is None if no pair lands in it, else the local ``{out}{k}``: bit for bit
-    ``out[k] += sign * a[i] * b[j]`` from 0.0 over nonzero pairs, i-major, j-minor,
-    since each local runs under ``if`` (a zero is skipped, as ``0 * inf`` is nan).
+    Slot k is None if it is not ``wanted`` or no pair lands in it, else the local
+    ``{out}{k}``: bit for bit ``out[k] += sign * a[i] * b[j]`` from 0.0 over nonzero
+    pairs, i-major, j-minor, since each local runs under ``if`` (a zero is skipped,
+    as ``0 * inf`` is nan).
     """
     slots = [None] * 8
     for i, row in enumerate(rows):
         x, block = a[i], []
         for j, k, sign in row:
-            if x is None or (y := b[j]) is None:
+            if x is None or k not in wanted or (y := b[j]) is None:
                 continue
             if slots[k] is None:
                 slots[k] = f"{out}{k}"
@@ -122,21 +123,26 @@ def _frame_kernel(term: tuple):
     """``kernel(g, dx.x, dx.y, dx.z)``: the grade-1 part of sum_i term(e_i, dx, d_i v).
 
     ``term`` is ``(table name, left, right)``; an operand is a term or a leaf: ``"e"`` is
-    e_i, ``"a"`` dx and ``"d"`` row i of G.  The frame adds from ``0.0`` in i order,
-    skipping slots no pair reaches: a sum from ``0.0`` is never ``-0.0``.
+    e_i, ``"a"`` dx and ``"d"`` row i of G.  A product computes only the slots read:
+    an operand gets the slots of the pairs that land in a wanted slot, and a leaf goes
+    first, so that its zero slots rule pairs out.  The frame adds from ``0.0`` in i
+    order, skipping slots no pair reaches: a sum from ``0.0`` is never ``-0.0``.
     """
     lines = ["(d01, d02, d03), (d11, d12, d13), (d21, d22, d23) = g.rows"]
 
-    def slots(node, i: int, out: str) -> list:
+    def slots(node, i: int, out: str, wanted=range(8)) -> list:
         if isinstance(node, str):  # a vector: e_i, dx or d_i v
             vector = {"e": [1.0 if k == i else None for k in range(3)], "a": ["a1", "a2", "a3"],
                       "d": [f"d{i}1", f"d{i}2", f"d{i}3"]}[node]
             return [None, *vector, None, None, None, None]
         name, left, right = node
-        a, b = slots(left, i, out + "l"), slots(right, i, out + "r")
-        return _product_lines(_TABLES[name], a, b, out, lines)
+        pairs = [(l, r) for l, row in enumerate(_TABLES[name]) for r, k, _ in row if k in wanted]
+        b = slots(right, i, out + "r") if isinstance(right, str) else None
+        a = slots(left, i, out + "l", {l for l, r in pairs if b is None or b[r]})
+        b = b or slots(right, i, out + "r", {r for l, r in pairs if a[l]})
+        return _product_lines(_TABLES[name], a, b, out, lines, wanted)
 
-    frame = [slots(term, i, f"t{i}") for i in range(3)]
+    frame = [slots(term, i, f"t{i}", range(1, 4)) for i in range(3)]
     sums = [" + ".join(["0.0", *(f[k] for f in frame if f[k])]) for k in (1, 2, 3)]
     return _compile("g, a1, a2, a3", lines, f"_vec3({', '.join(sums)})")
 

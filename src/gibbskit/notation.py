@@ -33,7 +33,7 @@ from . import ga
 from .dyadics import (
     Tensor3, _json_value, antisym, dyad, max_abs, postfactor, prefactor, sym, trace, transpose,
 )
-from .fields import DEFAULT_FD_STEP, Field, _check_fd_step, grad_gibbs
+from .fields import DEFAULT_FD_STEP, BlackBoxField, Field, _check_fd_step, fd_grad, grad_gibbs
 from .ga import Multivector, Vec3, _Value
 from .kinematics import nabla_wedge_of
 
@@ -479,17 +479,12 @@ def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
         raise EvalError(f"∇(...) needs a scalar expression, got {value_kind(val)}", pos)
     if isinstance(ctx, _Shifted):  # differences of differences: 7x the work per level
         raise EvalError("a nested ∇(...) must be ∇(c · v) with c bound", pos)
-    h = ctx.fd_step
-    comps = []
-    for i in (1, 2, 3):
-        e_i = Vec3.basis(i)
-        up = evaluate(inner, _Shifted(ctx.field, ctx.point + h * e_i, ctx.bindings, h))
-        dn = evaluate(inner, _Shifted(ctx.field, ctx.point - h * e_i, ctx.bindings, h))
-        comp = (up - dn) / (2.0 * h)
-        if not math.isfinite(comp) and math.isfinite(up) and math.isfinite(dn):
-            raise EvalError(f"∇(...) central difference overflows at fd_step {h!r}", pos)
-        comps.append(comp)
-    return Vec3(*comps)
+    field, bindings, h = ctx.field, ctx.bindings, ctx.fd_step
+    scalar = BlackBoxField(lambda p: Vec3(evaluate(inner, _Shifted(field, p, bindings, h)), 0, 0), h)
+    try:
+        return fd_grad(scalar, ctx.point).column(1)
+    except FloatingPointError as exc:
+        raise EvalError(f"∇(...) {exc}", pos) from exc
 
 
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
