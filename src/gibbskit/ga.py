@@ -105,7 +105,7 @@ def _product_lines(rows: tuple, a, b, out: str, body: list[str], wanted=range(8)
 def _compile(params: str, lines: list[str], result: str):
     source = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
     namespace = {"_vec3": _vec3}
-    exec(f"def kernel({params}):\n{source}", namespace)
+    exec(compile(f"def kernel({params}):\n{source}", "<gibbskit.ga kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 

@@ -63,9 +63,6 @@ __all__ = [
 
 FIELD_NAME = "v"
 
-# Names the evaluator derives from the field when not explicitly bound.
-DERIVED_TENSORS = ("d", "Omega", "Ω")
-
 
 class NotationError(ValueError):
     """Any lex, parse or evaluation failure; ``pos`` is a byte offset."""
@@ -434,30 +431,34 @@ class EvalContext(_Value):
         return grad_gibbs(self.field, self.point)
 
 
+def _grad_at(ctx: EvalContext, pos: int) -> Tensor3:
+    """G = ∇ ⊗ v at the point; a refused central difference is an EvalError at ``pos``."""
+    try:
+        return ctx._grad
+    except FloatingPointError as exc:
+        raise EvalError(f"∇ ⊗ {FIELD_NAME} {exc}", pos) from exc
+
+
+# The derivative forms, each a function of G.  ``∇ op v`` for each product
+# operator ∇ takes, and the names derived from G unless they are bound: two
+# tables, so that an unbound name such as ``dot`` is never a form.
+_NABLA_FORMS = {
+    DYAD: lambda g: g,
+    DOT: trace,
+    WEDGE: nabla_wedge_of,
+    CROSS: lambda g: ga.vector_dual(nabla_wedge_of(g)),
+}
+_DERIVED = {"d": sym, "Omega": antisym, "Ω": antisym}
+
+
 def _resolve(name: str, pos: int, ctx: EvalContext) -> Value:
     if name == FIELD_NAME:
         return ctx.field.eval(ctx.point)
     if name in ctx.bindings:
         return ctx.bindings[name]
-    if name in DERIVED_TENSORS:
-        return sym(ctx._grad) if name == "d" else antisym(ctx._grad)
+    if name in _DERIVED:
+        return _DERIVED[name](_grad_at(ctx, pos))
     raise BindingError(f"unbound name {name!r}", pos)
-
-
-def _eval_nabla_op(op: str, right: Expr, ctx: EvalContext, pos: int) -> Value:
-    if not (isinstance(right, VectorRef) and right.name == FIELD_NAME):
-        raise EvalError(
-            f"∇ {OP_SYMBOL[op]} ... can only differentiate the field {FIELD_NAME!r}", pos
-        )
-    if op == DYAD:
-        return ctx._grad
-    if op == DOT:
-        return trace(ctx._grad)
-    if op == WEDGE:
-        return nabla_wedge_of(ctx._grad)
-    if op == CROSS:
-        return ga.vector_dual(nabla_wedge_of(ctx._grad))
-    raise EvalError(f"∇ cannot be combined with {OP_SYMBOL[op]!r}", pos)
 
 
 class _Shifted(EvalContext):
@@ -472,7 +473,7 @@ def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
         if len(names) == 2 and FIELD_NAME in names:
             other = names[0] if names[1] == FIELD_NAME else names[1]
             if other != FIELD_NAME and other in ctx.bindings:
-                return prefactor(ctx._grad, ctx.bindings[other])
+                return prefactor(_grad_at(ctx, pos), ctx.bindings[other])
     # General scalar subexpression: central differences over the point.
     val = evaluate(inner, ctx)
     if value_kind(val) != "scalar":
@@ -487,12 +488,42 @@ def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
         raise EvalError(f"∇(...) {exc}", pos) from exc
 
 
+def _as_mv(v: Value) -> Multivector:
+    return ga._mv_vec(v) if isinstance(v, Vec3) else v
+
+
+_KINDS = ("scalar", "vector", "tensor", "multivector")
+_GA_PAIRS = [(a, b) for a in ("vector", "multivector") for b in ("vector", "multivector")]
+
+# For each binary operator: the rule for each (left kind, right kind) pair it
+# accepts, and the message for every other pair.  A vector dotted with a
+# tensor is the postfactor dr · G, a tensor dotted with a vector the
+# prefactor G · dr: the side says which contraction is meant.
+_RULES = {
+    PLUS: ({(k, k): lambda a, b: a + b for k in _KINDS}, "cannot add {} and {}"),
+    MINUS: ({(k, k): lambda a, b: a - b for k in _KINDS}, "cannot add {} and {}"),
+    STAR: ({**{("scalar", k): lambda a, b: b * a for k in _KINDS[1:]},
+            **{(k, "scalar"): lambda a, b: a * b for k in _KINDS}},
+           "* is scalar multiplication; got {} * {}"),
+    DYAD: ({("vector", "vector"): dyad}, "⊗ needs two vectors, got {} ⊗ {}"),
+    CROSS: ({("vector", "vector"): Vec3.cross}, "× needs two vectors, got {} × {}"),
+    WEDGE: (dict.fromkeys(_GA_PAIRS, lambda a, b: ga.wedge(_as_mv(a), _as_mv(b))),
+            "∧ needs vectors or multivectors, got {} ∧ {}"),
+    DOT: ({**dict.fromkeys(_GA_PAIRS, lambda a, b: ga.dot(_as_mv(a), _as_mv(b))),
+           ("vector", "vector"): Vec3.dot,
+           ("vector", "tensor"): postfactor, ("tensor", "vector"): prefactor},
+          "· cannot combine {} and {}"),
+}
+
+
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
     """Evaluate an expression against a concrete field, point and bindings.
 
-    Kind mismatches raise EvalError rather than coercing: a dot between a
-    vector and a tensor is postfactor or prefactor depending on the side,
-    scalar scaling must use `*`, and transpose applies to tensors only.
+    A binary operator evaluates both sides and applies the rule that
+    ``_RULES`` holds for their kinds; README's "Expression language" shows
+    the table.  Any other pair raises EvalError rather than coercing: scalar
+    scaling must use `*`, and transpose applies to tensors only.  ``∇ op v``
+    and the unbound names ``d``, ``Omega`` and ``Ω`` are functions of G.
     """
     if isinstance(e, ScalarLit):
         return e.value
@@ -508,58 +539,26 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
             raise EvalError(f"transpose applies to tensors, got {value_kind(val)}", e.pos)
         return transpose(val)
 
-    if e.op == APPLY:
+    op = e.op
+    if op == APPLY:
         return _eval_gradient_apply(e.right, ctx, e.pos)
-    if isinstance(e.left, Nabla) and e.op in _PRODUCT_OPS:
-        return _eval_nabla_op(e.op, e.right, ctx, e.pos)
+    if isinstance(e.left, Nabla) and op in _PRODUCT_OPS:
+        if not (isinstance(e.right, VectorRef) and e.right.name == FIELD_NAME):
+            msg = f"∇ {OP_SYMBOL[op]} ... can only differentiate the field {FIELD_NAME!r}"
+            raise EvalError(msg, e.pos)
+        if op not in _NABLA_FORMS:
+            raise EvalError(f"∇ cannot be combined with {OP_SYMBOL[op]!r}", e.pos)
+        return _NABLA_FORMS[op](_grad_at(ctx, e.pos))
 
     lhs = evaluate(e.left, ctx)
     rhs = evaluate(e.right, ctx)
-    lk, rk = value_kind(lhs), value_kind(rhs)
-
-    if e.op in (PLUS, MINUS):
-        if lk != rk:
-            raise EvalError(f"cannot add {lk} and {rk}", e.pos)
-        return lhs + rhs if e.op == PLUS else lhs - rhs
-
-    if e.op == STAR:
-        if lk == "scalar":
-            return rhs * lhs if rk != "scalar" else lhs * rhs
-        if rk == "scalar":
-            return lhs * rhs
-        raise EvalError(f"* is scalar multiplication; got {lk} * {rk}", e.pos)
-
-    if e.op == DYAD:
-        if lk == rk == "vector":
-            return dyad(lhs, rhs)
-        raise EvalError(f"⊗ needs two vectors, got {lk} ⊗ {rk}", e.pos)
-
-    if e.op == CROSS:
-        if lk == rk == "vector":
-            return lhs.cross(rhs)
-        raise EvalError(f"× needs two vectors, got {lk} × {rk}", e.pos)
-
-    if e.op == WEDGE:
-        if lk in ("vector", "multivector") and rk in ("vector", "multivector"):
-            return ga.wedge(_as_mv(lhs), _as_mv(rhs))
-        raise EvalError(f"∧ needs vectors or multivectors, got {lk} ∧ {rk}", e.pos)
-
-    if e.op == DOT:
-        if lk == rk == "vector":
-            return lhs.dot(rhs)
-        if lk == "vector" and rk == "tensor":
-            return postfactor(lhs, rhs)
-        if lk == "tensor" and rk == "vector":
-            return prefactor(lhs, rhs)
-        if lk in ("vector", "multivector") and rk in ("vector", "multivector"):
-            return ga.dot(_as_mv(lhs), _as_mv(rhs))
-        raise EvalError(f"· cannot combine {lk} and {rk}", e.pos)
-
-    raise EvalError(f"unsupported operator {e.op!r}", e.pos)
-
-
-def _as_mv(v: Value) -> Multivector:
-    return ga._mv_vec(v) if isinstance(v, Vec3) else v
+    if op not in _RULES:
+        raise EvalError(f"unsupported operator {op!r}", e.pos)
+    rules, message = _RULES[op]
+    kinds = (value_kind(lhs), value_kind(rhs))
+    if (rule := rules.get(kinds)) is None:
+        raise EvalError(message.format(*kinds), e.pos)
+    return rule(lhs, rhs)
 
 
 class AuditResult(_Value):
