@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--bind", action="append", type=_binding, default=[],
                         metavar="NAME=X,Y,Z", help="bind a constant vector (repeatable)")
     p_eval.add_argument("--fd-step", type=_fd_step, default=DEFAULT_FD_STEP, metavar="H",
-                        help="step for numerical gradients (default %(default)g)")
+                        help="central-difference step; changes no output, since the fields "
+                             "loaded are polynomial (default %(default)g)")
     source = p_eval.add_mutually_exclusive_group(required=True)
     source.add_argument("--script", metavar="PATH",
                         help="file with one expression per line")

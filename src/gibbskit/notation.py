@@ -18,8 +18,8 @@ hazard is silent precedence, so the parser refuses to guess.
 `∇ ⊗ v` always evaluates to the postfactor-convention gradient; the
 transposed layout is only reachable by writing `(∇ ⊗ v)†` explicitly.
 Applying `∇` directly to a parenthesized scalar expression, as in
-`∇(dr · v)`, takes its gradient.  An expression nested more than
-``MAX_DEPTH`` levels deep is a parse error.
+`∇(dr · v)`, takes its gradient, exactly on a PolyField.  An expression
+nested more than ``MAX_DEPTH`` levels deep is a parse error.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ import math
 import re
 from collections.abc import Mapping
 from functools import cached_property
+from operator import neg
 
 from . import ga
 from .dyadics import (
     Tensor3, _json_value, antisym, dyad, max_abs, postfactor, prefactor, sym, trace, transpose,
 )
-from .fields import DEFAULT_FD_STEP, BlackBoxField, Field, _check_fd_step, fd_grad, grad_gibbs
-from .ga import Multivector, Vec3, _Value
+from .fields import (
+    DEFAULT_FD_STEP, BlackBoxField, Field, PolyField, _check_fd_step, fd_grad, grad_gibbs,
+)
+from .ga import Multivector, Vec3, _Value, _vec3
 from .kinematics import nabla_wedge_of
 
 __all__ = [
@@ -114,17 +117,16 @@ _SYMBOL_KINDS = {
 
 _KEYWORD_KINDS = {"grad": NABLA, "cross": CROSS}
 
-# Alternatives are tried in order at each position, so ``(x)`` is always
+_TEXT_KINDS = {**_SYMBOL_KINDS, **_KEYWORD_KINDS}
+
+# One match per token: the whitespace before it, then its text.  The
+# alternatives are tried in order at each position, so ``(x)`` is always
 # the dyad, '.' always the dot operator (no number starts with it), and a
 # number's digits are never read as part of a name.  For str patterns,
 # ``\s``, ``\d`` and ``\w`` are ``isspace``, ``isdecimal`` (the digits
 # ``float`` accepts) and ``isalnum() or "_"``, as the tests check for
 # every code point.
-_TOKEN_PATTERN = re.compile(
-    r"(?P<space>\s+)|(?P<dyad>\(x\))|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<word>\w+)|(?P<other>.)",
-    re.DOTALL,
-)
+_TOKEN_PATTERN = re.compile(r"(\s*)(\(x\)|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\w+|\S)")
 
 # Canonical display symbol per binary operator kind (used in errors/render).
 OP_SYMBOL = {DYAD: "⊗", DOT: "·", WEDGE: "∧", CROSS: "×", STAR: "*", PLUS: "+", MINUS: "-"}
@@ -140,6 +142,33 @@ class Token(_Value):
         fields["pos"] = pos  # byte offset into the UTF-8 source
 
 
+_Lexeme = tuple[str, str, int]  # (kind, text, pos), as a Token holds them
+
+
+def _lex(src: str) -> list[_Lexeme]:
+    """The tokens of ``tokenize`` as ``(kind, text, pos)`` tuples."""
+    wide = not src.isascii()  # else a character is a byte, and a length a byte count
+    tokens = []
+    pos = 0
+    for space, text in _TOKEN_PATTERN.findall(src):
+        if space:
+            pos += len(space.encode()) if wide else len(space)
+        if (kind := _TEXT_KINDS.get(text)) is None:
+            c = text[0]
+            if c.isdecimal():  # the number alternative matched
+                if not math.isfinite(float(text)):
+                    raise LexError(f"number {text!r} is not finite", pos)
+                kind = NUMBER
+            elif c.isalpha() or c == "_":
+                kind = IDENT
+            else:  # unknown, or a word led by a digit that is not decimal, such as '²'
+                raise LexError(f"unknown character {c!r}", pos)
+        tokens.append((kind, text, pos))
+        pos += len(text.encode()) if wide else len(text)
+    tokens.append((EOF, "", len(src.encode())))
+    return tokens
+
+
 def tokenize(src: str) -> list[Token]:
     """Split source text into tokens; whitespace-insensitive.
 
@@ -148,25 +177,7 @@ def tokenize(src: str) -> list[Token]:
     sequence ``(x)`` is always the dyad operator; write ``( x )`` to group
     a variable literally named x.
     """
-    tokens: list[Token] = []
-    pos = 0
-    for m in _TOKEN_PATTERN.finditer(src):
-        group, text = m.lastgroup, m.group()
-        if group == "number":
-            if not math.isfinite(float(text)):
-                raise LexError(f"number {text!r} is not finite", pos)
-            tokens.append(Token(NUMBER, text, pos))
-        elif group == "word" and (text[0].isalpha() or text[0] == "_"):
-            tokens.append(Token(_KEYWORD_KINDS.get(text, IDENT), text, pos))
-        elif group != "space":
-            # An unknown character, or a word that starts with a digit
-            # that is not decimal, such as '²'.
-            if text not in _SYMBOL_KINDS:
-                raise LexError(f"unknown character {text[0]!r}", pos)
-            tokens.append(Token(_SYMBOL_KINDS[text], text, pos))
-        pos += len(text.encode("utf-8"))
-    tokens.append(Token(EOF, "", pos))
-    return tokens
+    return [Token(*t) for t in _lex(src)]
 
 
 # AST nodes.  Positions are carried for error reporting but excluded from
@@ -240,9 +251,9 @@ _ADDITIVE_OPS = (PLUS, MINUS)
 MAX_DEPTH = 100
 
 
-def _unexpected(what: str, tok: Token) -> ParseError:
-    found = repr(tok.text) if tok.text else "end of input"
-    return ParseError(f"expected {what}, found {found}", tok.pos)
+def _unexpected(what: str, tok: _Lexeme) -> ParseError:
+    _, text, pos = tok
+    return ParseError(f"expected {what}, found {repr(text) if text else 'end of input'}", pos)
 
 
 class _Parser:
@@ -254,97 +265,97 @@ class _Parser:
     # ∇(...).  ``self.i`` indexes the next token; EOF is never consumed.
     # ``strays`` holds, in source order, the offset of each bare ∇ not yet
     # taken as the left operand of a product, its only legal place.
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[_Lexeme]):
         self.tokens = tokens
         self.i = 0
         self.nesting = 0
         self.strays: list[int] = []
 
-    def deeper(self, depth: int, tok: Token) -> int:
+    def deeper(self, depth: int, tok: _Lexeme) -> int:
         """``depth + 1``, unless that passes MAX_DEPTH at ``tok``."""
         if depth >= MAX_DEPTH:
-            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", tok.pos)
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", tok[2])
         return depth + 1
 
     def expression(self) -> tuple[Expr, int]:
         tokens = self.tokens
         node, depth = self.term()
-        while (tok := tokens[self.i]).kind in _ADDITIVE_OPS:
+        while (tok := tokens[self.i])[0] in _ADDITIVE_OPS:
             self.i += 1
             right, right_depth = self.term()
             depth = self.deeper(max(depth, right_depth), tok)
-            node = Binary(tok.kind, node, right, pos=tok.pos)
+            node = Binary(tok[0], node, right, pos=tok[2])
         return node, depth
 
     def term(self) -> tuple[Expr, int]:
         tokens = self.tokens
         first = self.i
-        while tokens[self.i].kind == MINUS:
+        while tokens[self.i][0] == MINUS:
             self.i += 1
         signs = self.i - first
         node, depth = self.operand()
-        chain_op = tokens[self.i].kind
+        chain_op = tokens[self.i][0]
         if chain_op in _PRODUCT_OPS and isinstance(node, Nabla):
             self.strays.remove(node.pos)
-        while (tok := tokens[self.i]).kind in _PRODUCT_OPS:
+        while (tok := tokens[self.i])[0] in _PRODUCT_OPS:
             self.i += 1
-            if tok.kind != chain_op:
+            if tok[0] != chain_op:
                 raise ParseError(
                     f"ambiguous chain of {OP_SYMBOL[chain_op]!r} and "
-                    f"{OP_SYMBOL[tok.kind]!r}: parenthesize one of them",
-                    tok.pos,
+                    f"{OP_SYMBOL[tok[0]]!r}: parenthesize one of them",
+                    tok[2],
                 )
             right, right_depth = self.operand()
             depth = self.deeper(max(depth, right_depth), tok)
-            node = Binary(tok.kind, node, right, pos=tok.pos)
+            node = Binary(tok[0], node, right, pos=tok[2])
         if signs:
             for tok in reversed(tokens[first : first + signs]):
                 depth = self.deeper(depth, tok)
-                node = Unary("neg", node, pos=tok.pos)
+                node = Unary("neg", node, pos=tok[2])
         return node, depth
 
     def operand(self) -> tuple[Expr, int]:
         tokens = self.tokens
         tok = tokens[self.i]
         self.i += 1
-        kind = tok.kind
+        kind = tok[0]
         if kind == IDENT:
-            node, depth = VectorRef(tok.text, pos=tok.pos), 0
+            node, depth = VectorRef(tok[1], pos=tok[2]), 0
         elif kind == LPAREN:
             node, depth = self.parenthesized(tok)
         elif kind == NUMBER:
-            node, depth = ScalarLit(float(tok.text), pos=tok.pos), 0
-        elif kind == NABLA and (open_tok := tokens[self.i]).kind == LPAREN:
+            node, depth = ScalarLit(float(tok[1]), pos=tok[2]), 0
+        elif kind == NABLA and (open_tok := tokens[self.i])[0] == LPAREN:
             # Direct application: gradient of a scalar subexpression.
             self.i += 1
             inner, depth = self.parenthesized(open_tok)
-            node = Binary(APPLY, Nabla(pos=tok.pos), inner, pos=open_tok.pos)
+            node = Binary(APPLY, Nabla(pos=tok[2]), inner, pos=open_tok[2])
             depth = self.deeper(depth, open_tok)
         elif kind == NABLA:
-            node, depth = Nabla(pos=tok.pos), 0
-            self.strays.append(tok.pos)
+            node, depth = Nabla(pos=tok[2]), 0
+            self.strays.append(tok[2])
         else:
             raise _unexpected("an operand", tok)
-        while (tok := tokens[self.i]).kind == TRANSPOSE:
+        while (tok := tokens[self.i])[0] == TRANSPOSE:
             self.i += 1
             depth = self.deeper(depth, tok)
-            node = Unary("transpose", node, pos=tok.pos)
+            node = Unary("transpose", node, pos=tok[2])
         return node, depth
 
-    def parenthesized(self, open_tok: Token) -> tuple[Expr, int]:
+    def parenthesized(self, open_tok: _Lexeme) -> tuple[Expr, int]:
         self.nesting = self.deeper(self.nesting, open_tok)
         inner = self.expression()
-        if (tok := self.tokens[self.i]).kind != RPAREN:
+        if (tok := self.tokens[self.i])[0] != RPAREN:
             raise _unexpected("')'", tok)
         self.i += 1
         self.nesting -= 1
         return inner
 
 
-def parse_tokens(tokens: list[Token]) -> Expr:
+def _parse(tokens: list[_Lexeme]) -> Expr:
     parser = _Parser(tokens)
     node, _ = parser.expression()
-    if (tok := tokens[parser.i]).kind != EOF:
+    if (tok := tokens[parser.i])[0] != EOF:
         raise _unexpected("end of input", tok)
     if parser.strays:  # raised last, so that a syntax or depth error wins
         msg = "∇ may only appear to the left of ⊗, ·, ∧, ×, or applied as ∇(...)"
@@ -352,8 +363,12 @@ def parse_tokens(tokens: list[Token]) -> Expr:
     return node
 
 
+def parse_tokens(tokens: list[Token]) -> Expr:
+    return _parse([(t.kind, t.text, t.pos) for t in tokens])
+
+
 def parse(src: str) -> Expr:
-    return parse_tokens(tokenize(src))
+    return _parse(_lex(src))
 
 
 def _wrap(node: Expr) -> str:
@@ -402,9 +417,9 @@ class EvalContext(_Value):
 
     ``d`` and ``Omega`` (alias ``Ω``) resolve to the strain and rotation
     tensors of the field at the point unless shadowed by a binding.
-    ``fd_step`` controls the fallback numerical gradient used when ∇ is
-    applied to a general scalar subexpression; it must be > 0 with
-    ``2 * fd_step`` finite.
+    ``fd_step``, > 0 with ``2 * fd_step`` finite, is the step of the
+    central differences that ∇(...) takes on a BlackBoxField; on a
+    PolyField ∇(...) is exact, and the step changes no result.
     The gradient G at the point is computed once per context, on first
     use, and every derivative form derives from it.  ``bindings`` defaults
     to a fresh empty dict; a context holding a dict is not hashable.
@@ -465,27 +480,71 @@ class _Shifted(EvalContext):
     """A context moved off the point by one central-difference step."""
 
 
-def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
-    # Exact chain rule for the common case  ∇(c · v)  with c a constant.
+def _bound_factor(inner: Expr, ctx: EvalContext) -> Vec3 | None:
+    """The bound vector c when ``inner`` is ``c · v`` or ``v · c``, else None."""
     if isinstance(inner, Binary) and inner.op == DOT:
-        sides = (inner.left, inner.right)
-        names = [s.name for s in sides if isinstance(s, VectorRef)]
+        names = [s.name for s in (inner.left, inner.right) if isinstance(s, VectorRef)]
         if len(names) == 2 and FIELD_NAME in names:
             other = names[0] if names[1] == FIELD_NAME else names[1]
             if other != FIELD_NAME and other in ctx.bindings:
-                return prefactor(_grad_at(ctx, pos), ctx.bindings[other])
-    # General scalar subexpression: central differences over the point.
-    val = evaluate(inner, ctx)
+                return ctx.bindings[other]
+    return None
+
+
+def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
+    field = ctx.field
+    if not isinstance(field, PolyField) and (c := _bound_factor(inner, ctx)) is not None:
+        return prefactor(_grad_at(ctx, pos), c)  # the chain rule, on the black box's G
+    val = evaluate(inner, ctx)  # first, so that its errors win
     if value_kind(val) != "scalar":
         raise EvalError(f"∇(...) needs a scalar expression, got {value_kind(val)}", pos)
+    if isinstance(field, PolyField):
+        partials = _jet(inner, ctx)[1] or (0.0, 0.0, 0.0)
+        return _vec3(*[0.0 + p for p in partials])  # no -0.0, as G · c has none
+    # A black box has no partial fields: central differences over the point.
     if isinstance(ctx, _Shifted):  # differences of differences: 7x the work per level
         raise EvalError("a nested ∇(...) must be ∇(c · v) with c bound", pos)
-    field, bindings, h = ctx.field, ctx.bindings, ctx.fd_step
+    bindings, h = ctx.bindings, ctx.fd_step
     scalar = BlackBoxField(lambda p: Vec3(evaluate(inner, _Shifted(field, p, bindings, h)), 0, 0), h)
     try:
         return fd_grad(scalar, ctx.point).column(1)
     except FloatingPointError as exc:
         raise EvalError(f"∇(...) {exc}", pos) from exc
+
+
+def _jet(e: Expr, ctx: EvalContext) -> tuple[Value, list[Value] | None]:
+    """The value of ``e`` and its partials along x, y and z, None if constant.
+
+    First-order forward mode on a PolyField, for an ``e`` that ``evaluate``
+    accepts in ``ctx``.  Every rule of ``_RULES`` is bilinear, so a product
+    takes ``∂a op b + a op ∂b`` by that rule, and ``+`` and ``-`` act on
+    the partials.  The partials of ``v`` are the rows of G.  A form of G
+    (``∇ op v``, ``d``, ``Ω``) is linear in G, so its partial along axis i
+    is the form of the Hessian slice ``grad_gibbs(f.partial(i), x)``: the
+    form evaluated with the field ``f.partial(i)``.  The same holds for
+    ``∇(c · v)``, linear in v, the one ``∇(...)`` that may nest.
+    """
+    if isinstance(e, Unary):
+        val, d = _jet(e.operand, ctx)
+        op = neg if e.op == "neg" else transpose
+        return op(val), d and [op(p) for p in d]
+    if isinstance(e, Binary) and e.op in _RULES and not isinstance(e.left, Nabla):
+        (a, da), (b, db) = _jet(e.left, ctx), _jet(e.right, ctx)
+        rule = _RULES[e.op][0][value_kind(a), value_kind(b)]
+        if e.op in _ADDITIVE_OPS:
+            left, right = da, db and (db if e.op == PLUS else [-q for q in db])
+        else:
+            left, right = da and [rule(p, b) for p in da], db and [rule(a, q) for q in db]
+        return rule(a, b), [p + q for p, q in zip(left, right)] if left and right else left or right
+    val = evaluate(e, ctx)
+    if isinstance(e, VectorRef) and e.name == FIELD_NAME:
+        return val, [_vec3(*row) for row in ctx._grad.rows]
+    if isinstance(e, ScalarLit) or isinstance(e, VectorRef) and e.name in ctx.bindings:
+        return val, None  # a literal or a bound vector
+    if isinstance(e, Binary) and e.op == APPLY and _bound_factor(e.right, ctx) is None:
+        raise EvalError("a nested ∇(...) must be ∇(c · v) with c bound", e.pos)
+    f, x, bindings = ctx.field, ctx.point, ctx.bindings
+    return val, [evaluate(e, EvalContext(f.partial(i), x, bindings, ctx.fd_step)) for i in range(3)]
 
 
 def _as_mv(v: Value) -> Multivector:

@@ -166,3 +166,18 @@ def fit_slope(hs, errs) -> float:
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     den = sum((x - mx) ** 2 for x in xs)
     return num / den
+
+
+def notation_workload(seed: int):
+    """The benchmark's notation workload for ``seed``: ``inputs(i)`` is (spec, x, bindings, script)."""
+    import sys
+    from pathlib import Path
+
+    import gibbskit
+
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+
+    return workloads.Notation(seed, gibbskit)

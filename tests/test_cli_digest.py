@@ -41,7 +41,7 @@ EXPRESSIONS = (
 )
 SCRIPT = "∇ · v\ndr · (∇⊗v)\n\n∇(v · v)\nΩ · c\n"
 
-DIGEST = "76821778b45049956edcd9ee35284a0ea20911a1b3180a78e5b5547d25286427"
+DIGEST = "616c7ee3c103da44880be3ccc17a2d9f3d34840a0ab4afc9d5225abe1ad76312"
 
 
 def _corpus():

@@ -13,7 +13,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gibbskit import EvalContext, Poly, PolyField, Vec3, evaluate, parse
+from gibbskit import BlackBoxField, EvalContext, Poly, PolyField, Vec3, evaluate, parse
 from gibbskit import fields, kinematics, notation
 from gibbskit.kinematics import report, strain_split
 
@@ -186,10 +186,20 @@ def test_eval_context_computes_g_once(grad_calls):
 
 
 def test_perturbed_contexts_get_their_own_g(grad_calls):
-    # ∇(d · c) takes central differences; each of the 6 perturbed contexts
-    # needs the gradient at its own point, plus the one at the centre.
-    f = rand_cubic(random.Random(9))
+    # On a black box, ∇(c · (d · c)) takes central differences; each of the
+    # 6 perturbed contexts needs the gradient at its own point, plus the one
+    # at the centre.
+    f = BlackBoxField(rand_cubic(random.Random(9)).eval)
     ctx = EvalContext(f, Vec3(0.5, -1.0, 2.0), {"c": Vec3(1.0, 2.0, 3.0)})
     evaluate(parse("∇(c · (d · c))"), ctx)
     assert len(grad_calls) == 7
     assert len(set(grad_calls)) == 7
+
+
+def test_a_polynomial_gradient_reads_g_and_the_three_hessian_slices(grad_calls):
+    # On a PolyField, the partials of d are sym of grad_gibbs of each
+    # partial field, all at the one point: no perturbed context.
+    f = rand_cubic(random.Random(9))
+    x = Vec3(0.5, -1.0, 2.0)
+    evaluate(parse("∇(c · (d · c))"), EvalContext(f, x, {"c": Vec3(1.0, 2.0, 3.0)}))
+    assert grad_calls == [x] * 4

@@ -1,12 +1,13 @@
-"""fd_grad holds the one central-difference quotient; ∇(...) differentiates through it.
+"""fd_grad holds the one central-difference quotient; ∇(...) on a black box goes through it.
 
-The fallback of ∇(...) is fd_grad of its scalar, seen as a BlackBoxField
-whose x-component is the scalar at the shifted point.  fd_grad refuses,
-with FloatingPointError, a step lost in a coordinate (x + h e_i or
-x - h e_i rounds to x) and a quotient that overflows although both of its
-values are finite; the evaluator reports that refusal as an EvalError at
-its "(".  Every quotient that is not refused is the float that the two
-former copies of the loop, kept below as references, computed.
+On a BlackBoxField, the fallback of ∇(...) is fd_grad of its scalar, seen as
+a BlackBoxField whose x-component is the scalar at the shifted point.
+fd_grad refuses, with FloatingPointError, a step lost in a coordinate
+(x + h e_i or x - h e_i rounds to x) and a quotient that overflows although
+both of its values are finite; the evaluator reports that refusal as an
+EvalError at its "(".  Every quotient that is not refused is the float that
+the two former copies of the loop, kept below as references, computed.  A
+PolyField takes no quotient: its ∇(...) is exact, as the CLI shows.
 """
 
 import math
@@ -23,7 +24,7 @@ from gibbskit import (
 )
 from gibbskit.dyadics import prefactor
 from gibbskit.fields import DEFAULT_FD_STEP, _check_fd_step
-from gibbskit.notation import DOT, FIELD_NAME, Binary, VectorRef, _Shifted, value_kind
+from gibbskit.notation import DOT, FIELD_NAME, Binary, VectorRef, _grad_at, _Shifted, value_kind
 
 from helpers import rand_cubic
 
@@ -62,7 +63,7 @@ def reference_gradient_apply(inner, ctx: EvalContext, pos: int) -> Vec3:
         if len(names) == 2 and FIELD_NAME in names:
             other = names[0] if names[1] == FIELD_NAME else names[1]
             if other != FIELD_NAME and other in ctx.bindings:
-                return prefactor(ctx._grad, ctx.bindings[other])
+                return prefactor(_grad_at(ctx, pos), ctx.bindings[other])
     # General scalar subexpression: central differences over the point.
     val = evaluate(inner, ctx)
     if value_kind(val) != "scalar":
@@ -121,10 +122,13 @@ def lost_axes(x: Vec3, h: float):
 @example(ROTATION, Vec3(1e12, 1.0, 0.0), DEFAULT_FD_STEP, "v · v")
 @example(ROTATION, Vec3(0.0, 0.0, 0.0), 8.98e307, "2 * (c · v)")
 def test_gradient_apply_matches_the_former_loop(field, x, h, src):
+    # The field as a black box with the same step, so that G is a central
+    # difference too and the fallback applies.
+    box = BlackBoxField(field.eval, h)
     expr = parse(f"∇({src})")
-    got, err = outcome(lambda: evaluate(expr, EvalContext(field, x, dict(BINDINGS), h)))
+    got, err = outcome(lambda: evaluate(expr, EvalContext(box, x, dict(BINDINGS), h)))
     want, ref_err = outcome(
-        lambda: reference_gradient_apply(expr.right, EvalContext(field, x, dict(BINDINGS), h), expr.pos)
+        lambda: reference_gradient_apply(expr.right, EvalContext(box, x, dict(BINDINGS), h), expr.pos)
     )
     if err is not None and "is lost in" in str(err):
         # An inner ∇(...) refuses in both; otherwise the former loop went on
@@ -196,7 +200,7 @@ def test_fd_grad_lets_an_error_of_the_evaluations_win():
 
 def test_evaluate_refuses_a_lost_step_at_the_gradient():
     with pytest.raises(EvalError) as err:
-        evaluate(parse("∇(v · v)"), EvalContext(ROTATION, Vec3(1e12, 1.0, 0.0)))
+        evaluate(parse("∇(v · v)"), EvalContext(BlackBoxField(ROTATION.eval), Vec3(1e12, 1.0, 0.0)))
     assert err.value.pos == 3
     assert str(err.value).startswith("∇(...) central difference fd_step 1e-05 is lost in x_1")
 
@@ -211,20 +215,18 @@ def test_evaluate_refuses_a_lost_step_at_the_gradient():
     ],
 )
 def test_inner_errors_win_over_a_lost_step(src, pos, error):
-    ctx = EvalContext(ROTATION, Vec3(1e12, 1.0, 0.0), {"c": Vec3(3.0, 0.5, -1.0)})
+    # A black box whose own step of 1 is not lost, so that its G is exact.
+    box = BlackBoxField(ROTATION.eval, step=1.0)
+    ctx = EvalContext(box, Vec3(1e12, 1.0, 0.0), {"c": Vec3(3.0, 0.5, -1.0)})
     with pytest.raises(EvalError) as err:
         evaluate(parse(src), ctx)
     assert err.value.pos == pos and error in str(err.value)
 
 
-def test_cli_refuses_a_lost_step_with_exit_3_and_one_line():
+def test_cli_differentiates_exactly_where_a_step_is_lost():
     res = subprocess.run(
         [sys.executable, "-m", "gibbskit", "eval", "--field", "sample_fields/rotation.json",
          "--point", "1e12", "1", "0", "∇(v · v)"],
         cwd=str(REPO), text=True, capture_output=True, timeout=60,
     )
-    assert res.returncode == 3
-    assert res.stdout == ""
-    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
-    assert "fd_step 1e-05 is lost in x_1 = 1000000000000.0 (offset 3)" in res.stderr
-
+    assert (res.returncode, res.stdout, res.stderr) == (0, "(2e+12, 2, 0)\n", "")
