@@ -5,14 +5,16 @@ antecedent, column index the consequent.  A dyadic has no bare "multiply";
 it acts on vectors either as a postfactor (c . T) or as a prefactor
 (T . c), and the two are linked by c . T = transpose(T) . c.
 
+The 3x3 operations are written out entry by entry over the nine named
+entries, each entry computed in the order of its docstring's formula, so
+that no loop or comprehension runs per call.
+
 ``_json_value`` is the one JSON rule for every value and result record:
 a Vec3 is [x, y, z], a Tensor3 its rows, a Multivector a blade ->
 coefficient object, and a record its fields in ``__match_args__`` order.
 """
 
 from __future__ import annotations
-
-from operator import add, neg, sub
 
 from .ga import BLADE_NAMES, Multivector, Vec3, _is_index, _new, _Value, _vec3, format_short
 
@@ -68,13 +70,18 @@ class Tensor3(_Value):
         return _vec3(r0[j - 1], r1[j - 1], r2[j - 1])
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        return _tensor(tuple([tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        (p, q, r), (s, t, u), (v, w, x) = other.rows
+        return _tensor(((a + p, b + q, c + r), (d + s, e + t, f + u), (g + v, h + w, i + x)))
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return _tensor(tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        (p, q, r), (s, t, u), (v, w, x) = other.rows
+        return _tensor(((a - p, b - q, c - r), (d - s, e - t, f - u), (g - v, h - w, i - x)))
 
     def __neg__(self) -> "Tensor3":
-        return _tensor(tuple([tuple(map(neg, r)) for r in self.rows]))
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        return _tensor(((-a, -b, -c), (-d, -e, -f), (-g, -h, -i)))
 
     def __mul__(self, s: float) -> "Tensor3":
         return Tensor3([[a * s for a in r] for r in self.rows])
@@ -115,8 +122,9 @@ def _tensor(rows: Rows) -> Tensor3:
 
 def dyad(a: Vec3, b: Vec3) -> Tensor3:
     """Indeterminate product a (x) b: entry (i, j) is a_i b_j."""
-    at, bt = a.as_tuple(), b.as_tuple()
-    return _tensor(tuple([tuple([ai * bj for bj in bt]) for ai in at]))
+    a0, a1, a2, b0, b1, b2 = a.x, a.y, a.z, b.x, b.y, b.z
+    return _tensor(((a0 * b0, a0 * b1, a0 * b2), (a1 * b0, a1 * b1, a1 * b2),
+                    (a2 * b0, a2 * b1, a2 * b2)))
 
 
 def nonion_basis(i: int, j: int) -> Tensor3:
@@ -129,34 +137,43 @@ def nonion_basis(i: int, j: int) -> Tensor3:
 # These two add left to right from 0.0, not with sum, which 3.12 made compensated.
 def postfactor(c: Vec3, t: Tensor3) -> Vec3:
     """c . T, the vector applied from the left: result_j = sum_i c_i T_ij."""
-    c0, c1, c2 = c.as_tuple()
-    return _vec3(*[0.0 + c0 * a + c1 * b + c2 * e for a, b, e in zip(*t.rows)])
+    c0, c1, c2 = c.x, c.y, c.z
+    (a, b, c), (d, e, f), (g, h, i) = t.rows
+    return _vec3(0.0 + c0 * a + c1 * d + c2 * g,
+                 0.0 + c0 * b + c1 * e + c2 * h,
+                 0.0 + c0 * c + c1 * f + c2 * i)
 
 
 def prefactor(t: Tensor3, c: Vec3) -> Vec3:
     """T . c, the vector applied from the right: result_i = sum_j T_ij c_j."""
-    c0, c1, c2 = c.as_tuple()
-    return _vec3(*[0.0 + a * c0 + b * c1 + e * c2 for a, b, e in t.rows])
+    c0, c1, c2 = c.x, c.y, c.z
+    (a, b, c), (d, e, f), (g, h, i) = t.rows
+    return _vec3(0.0 + a * c0 + b * c1 + c * c2,
+                 0.0 + d * c0 + e * c1 + f * c2,
+                 0.0 + g * c0 + h * c1 + i * c2)
 
 
 def transpose(t: Tensor3) -> Tensor3:
-    return _tensor(tuple(zip(*t.rows)))
+    """Rows and columns swapped: entry (i, j) is T_ji."""
+    (a, b, c), (d, e, f), (g, h, i) = t.rows
+    return _tensor(((a, d, g), (b, e, h), (c, f, i)))
 
 
+# The diagonal keeps (a + a) * 0.5, not a: a + a overflows to inf for |a| >= 2**1023.
 def sym(t: Tensor3) -> Tensor3:
-    """Symmetric part (T + transpose(T)) / 2, entry by entry."""
-    rows = t.rows
-    return _tensor(
-        tuple([tuple([(a + b) * 0.5 for a, b in zip(r, c)]) for r, c in zip(rows, zip(*rows))])
-    )
+    """Symmetric part: entry (i, j) is (T_ij + T_ji) * 0.5."""
+    (a, b, c), (d, e, f), (g, h, i) = t.rows
+    return _tensor((((a + a) * 0.5, (b + d) * 0.5, (c + g) * 0.5),
+                    ((d + b) * 0.5, (e + e) * 0.5, (f + h) * 0.5),
+                    ((g + c) * 0.5, (h + f) * 0.5, (i + i) * 0.5)))
 
 
 def antisym(t: Tensor3) -> Tensor3:
-    """Antisymmetric part (T - transpose(T)) / 2, entry by entry."""
-    rows = t.rows
-    return _tensor(
-        tuple([tuple([(a - b) * 0.5 for a, b in zip(r, c)]) for r, c in zip(rows, zip(*rows))])
-    )
+    """Antisymmetric part: entry (i, j) is (T_ij - T_ji) * 0.5."""
+    (a, b, c), (d, e, f), (g, h, i) = t.rows
+    return _tensor((((a - a) * 0.5, (b - d) * 0.5, (c - g) * 0.5),
+                    ((d - b) * 0.5, (e - e) * 0.5, (f - h) * 0.5),
+                    ((g - c) * 0.5, (h - f) * 0.5, (i - i) * 0.5)))
 
 
 def trace(t: Tensor3) -> float:

@@ -384,12 +384,11 @@ def vector_dual(b: Multivector) -> Vec3:
 
     Raises ValueError when b has any non-grade-2 coefficient.
     """
-    bad = grades_present(b) - {2}
-    if bad:
+    c0, c1, c2, c3, c12, c13, c23, c123 = b.coeffs
+    if c0 != 0.0 or c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c123 != 0.0:
         raise ValueError(
-            f"vector_dual needs a pure bivector, found grade(s) {sorted(bad)}"
+            f"vector_dual needs a pure bivector, found grade(s) {sorted(grades_present(b) - {2})}"
         )
-    c12, c13, c23 = b.coeffs[4], b.coeffs[5], b.coeffs[6]
     return _vec3(c23, 0.0 - c13, c12)  # 0.0 - x avoids -0.0 components
 
 

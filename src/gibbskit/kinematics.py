@@ -86,7 +86,13 @@ def nabla_wedge_of(g: Tensor3) -> Multivector:
 
 def omega_bivector(f: Field, x: Vec3) -> Multivector:
     """Rotation bivector (1/2) nabla ^ v; dx . omega equals dot(dx, this)."""
-    return ga._mv(tuple([c * 0.5 for c in nabla_wedge(f, x).coeffs]))
+    return _halved(nabla_wedge(f, x))
+
+
+def _halved(nw: Multivector) -> Multivector:
+    # (1/2) nabla ^ v from nabla_wedge_of's result, whose other slots are 0.0.
+    _, _, _, _, c12, c13, c23, _ = nw.coeffs
+    return ga._mv((0.0, 0.0, 0.0, 0.0, c12 * 0.5, c13 * 0.5, c23 * 0.5, 0.0))
 
 
 def vorticity(f: Field, x: Vec3) -> Vec3:
@@ -185,7 +191,7 @@ def report(f: Field, x: Vec3) -> KinematicsReport:
         grad_alt=transpose(g),
         d=d,
         omega=omega,
-        omega_bivector=ga._mv(tuple([c * 0.5 for c in nw.coeffs])),
+        omega_bivector=_halved(nw),
         vorticity=ga.vector_dual(nw),
         divergence=trace(g),
     )

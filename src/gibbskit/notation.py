@@ -491,19 +491,29 @@ def _bound_factor(inner: Expr, ctx: EvalContext) -> Vec3 | None:
     return None
 
 
-def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
-    field = ctx.field
-    if not isinstance(field, PolyField) and (c := _bound_factor(inner, ctx)) is not None:
-        return prefactor(_grad_at(ctx, pos), c)  # the chain rule, on the black box's G
-    val = evaluate(inner, ctx)  # first, so that its errors win
+_NESTED = "a nested ∇(...) must be ∇(c · v) with c bound"
+
+
+def _check_scalar(val: Value, pos: int) -> None:
     if value_kind(val) != "scalar":
         raise EvalError(f"∇(...) needs a scalar expression, got {value_kind(val)}", pos)
+
+
+def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
+    field = ctx.field
     if isinstance(field, PolyField):
-        partials = _jet(inner, ctx)[1] or (0.0, 0.0, 0.0)
-        return _vec3(*[0.0 + p for p in partials])  # no -0.0, as G · c has none
+        nested: list[int] = []
+        val, partials = _jet(inner, ctx, nested)
+        _check_scalar(val, pos)
+        if nested:
+            raise EvalError(_NESTED, nested[0])
+        return _vec3(*[0.0 + p for p in partials or (0.0, 0.0, 0.0)])  # no -0.0, as G · c has none
+    if (c := _bound_factor(inner, ctx)) is not None:
+        return prefactor(_grad_at(ctx, pos), c)  # the chain rule, on the black box's G
+    _check_scalar(evaluate(inner, ctx), pos)  # first, so that its errors win
     # A black box has no partial fields: central differences over the point.
     if isinstance(ctx, _Shifted):  # differences of differences: 7x the work per level
-        raise EvalError("a nested ∇(...) must be ∇(c · v) with c bound", pos)
+        raise EvalError(_NESTED, pos)
     bindings, h = ctx.bindings, ctx.fd_step
     scalar = BlackBoxField(lambda p: Vec3(evaluate(inner, _Shifted(field, p, bindings, h)), 0, 0), h)
     try:
@@ -512,25 +522,27 @@ def _eval_gradient_apply(inner: Expr, ctx: EvalContext, pos: int) -> Vec3:
         raise EvalError(f"∇(...) {exc}", pos) from exc
 
 
-def _jet(e: Expr, ctx: EvalContext) -> tuple[Value, list[Value] | None]:
+def _jet(e: Expr, ctx: EvalContext, nested: list[int]) -> tuple[Value, list[Value] | None]:
     """The value of ``e`` and its partials along x, y and z, None if constant.
 
-    First-order forward mode on a PolyField, for an ``e`` that ``evaluate``
-    accepts in ``ctx``.  Every rule of ``_RULES`` is bilinear, so a product
-    takes ``∂a op b + a op ∂b`` by that rule, and ``+`` and ``-`` act on
-    the partials.  The partials of ``v`` are the rows of G.  A form of G
+    First-order forward mode on a PolyField, raising ``evaluate``'s errors
+    in its order; a nested ``∇(...)`` it cannot differentiate counts as
+    constant and appends its offset to ``nested``, for the caller to refuse.
+    Every rule of ``_RULES`` is bilinear, so a product takes
+    ``∂a op b + a op ∂b`` by that rule, and ``+`` and ``-`` act on the
+    partials.  The partials of ``v`` are the rows of G.  A form of G
     (``∇ op v``, ``d``, ``Ω``) is linear in G, so its partial along axis i
     is the form of the Hessian slice ``grad_gibbs(f.partial(i), x)``: the
     form evaluated with the field ``f.partial(i)``.  The same holds for
     ``∇(c · v)``, linear in v, the one ``∇(...)`` that may nest.
     """
     if isinstance(e, Unary):
-        val, d = _jet(e.operand, ctx)
-        op = neg if e.op == "neg" else transpose
+        val, d = _jet(e.operand, ctx, nested)
+        op = _unary_op(e, val)
         return op(val), d and [op(p) for p in d]
     if isinstance(e, Binary) and e.op in _RULES and not isinstance(e.left, Nabla):
-        (a, da), (b, db) = _jet(e.left, ctx), _jet(e.right, ctx)
-        rule = _RULES[e.op][0][value_kind(a), value_kind(b)]
+        (a, da), (b, db) = _jet(e.left, ctx, nested), _jet(e.right, ctx, nested)
+        rule = _rule(e, a, b)
         if e.op in _ADDITIVE_OPS:
             left, right = da, db and (db if e.op == PLUS else [-q for q in db])
         else:
@@ -542,7 +554,8 @@ def _jet(e: Expr, ctx: EvalContext) -> tuple[Value, list[Value] | None]:
     if isinstance(e, ScalarLit) or isinstance(e, VectorRef) and e.name in ctx.bindings:
         return val, None  # a literal or a bound vector
     if isinstance(e, Binary) and e.op == APPLY and _bound_factor(e.right, ctx) is None:
-        raise EvalError("a nested ∇(...) must be ∇(c · v) with c bound", e.pos)
+        nested.append(e.pos)
+        return val, None
     f, x, bindings = ctx.field, ctx.point, ctx.bindings
     return val, [evaluate(e, EvalContext(f.partial(i), x, bindings, ctx.fd_step)) for i in range(3)]
 
@@ -575,6 +588,24 @@ _RULES = {
 }
 
 
+def _unary_op(e: Unary, val: Value):
+    """neg, or transpose of a tensor; for any other operand, evaluate's EvalError."""
+    if e.op == "neg":
+        return neg
+    if not isinstance(val, Tensor3):
+        raise EvalError(f"transpose applies to tensors, got {value_kind(val)}", e.pos)
+    return transpose
+
+
+def _rule(e: Binary, a: Value, b: Value):
+    """The ``_RULES`` rule of ``e.op`` for the kinds of a and b, or evaluate's EvalError."""
+    rules, message = _RULES[e.op]
+    kinds = (value_kind(a), value_kind(b))
+    if (rule := rules.get(kinds)) is None:
+        raise EvalError(message.format(*kinds), e.pos)
+    return rule
+
+
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
     """Evaluate an expression against a concrete field, point and bindings.
 
@@ -591,12 +622,8 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
     if isinstance(e, Nabla):
         raise EvalError("∇ has no value on its own", e.pos)
     if isinstance(e, Unary):
-        if e.op == "neg":
-            return -evaluate(e.operand, ctx)
         val = evaluate(e.operand, ctx)
-        if not isinstance(val, Tensor3):
-            raise EvalError(f"transpose applies to tensors, got {value_kind(val)}", e.pos)
-        return transpose(val)
+        return _unary_op(e, val)(val)
 
     op = e.op
     if op == APPLY:
@@ -613,11 +640,7 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
     rhs = evaluate(e.right, ctx)
     if op not in _RULES:
         raise EvalError(f"unsupported operator {op!r}", e.pos)
-    rules, message = _RULES[op]
-    kinds = (value_kind(lhs), value_kind(rhs))
-    if (rule := rules.get(kinds)) is None:
-        raise EvalError(message.format(*kinds), e.pos)
-    return rule(lhs, rhs)
+    return _rule(e, lhs, rhs)(lhs, rhs)
 
 
 class AuditResult(_Value):
