@@ -45,13 +45,6 @@ __all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
 class CheckResult(_Value):
     __match_args__ = ("name", "passed", "cases", "detail")
 
-    def __init__(self, name: str, passed: bool, cases: int, detail: str) -> None:
-        fields = self.__dict__
-        fields["name"] = name
-        fields["passed"] = passed
-        fields["cases"] = cases
-        fields["detail"] = detail
-
 
 # ---------------------------------------------------------------------------
 # case generators

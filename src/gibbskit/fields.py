@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
 from functools import cached_property
 
 from .dyadics import Tensor3, _tensor, trace, transpose
@@ -160,12 +159,6 @@ class Poly(_Value):
 
     __match_args__ = ("terms",)
 
-    def __init__(self, terms: Terms) -> None:
-        self.__dict__["terms"] = terms
-        # A method of its own, so that perfbench/tracer.py can count
-        # constructions by wrapping it.
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         checked = []
         for powers, coeff in self.terms:
@@ -263,10 +256,9 @@ class PolyField(_Value):
 
     __match_args__ = ("components",)
 
-    def __init__(self, components: tuple[Poly, Poly, Poly]) -> None:
-        if len(components) != 3:
+    def __post_init__(self) -> None:
+        if len(self.components) != 3:
             raise ValueError("PolyField needs exactly 3 components")
-        self.__dict__["components"] = components
 
     def eval(self, x: Vec3) -> Vec3:
         terms = [c.terms for c in self.components]
@@ -305,12 +297,10 @@ class BlackBoxField(_Value):
     """
 
     __match_args__ = ("evaluator", "step")
+    _defaults = {"step": DEFAULT_FD_STEP}
 
-    def __init__(self, evaluator: Callable[[Vec3], Vec3], step: float = DEFAULT_FD_STEP) -> None:
-        _check_fd_step(step)
-        fields = self.__dict__
-        fields["evaluator"] = evaluator
-        fields["step"] = step
+    def __post_init__(self) -> None:
+        _check_fd_step(self.step)
 
     def eval(self, x: Vec3) -> Vec3:
         return self.evaluator(x)

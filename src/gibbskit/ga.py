@@ -147,15 +147,35 @@ def _frame_kernel(term: tuple):
     return _compile("g, a1, a2, a3", lines, f"_vec3({', '.join(sums)})")
 
 
+def _constructor(cls):
+    """``cls.__init__``, compiled from ``cls.__match_args__`` and ``cls._defaults``."""
+    names, defaults = cls.__match_args__, getattr(cls, "_defaults", {})
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    body = "".join(f"\n    fields[{n!r}] = {n}" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    source = f"def __init__(self{params}):\n    fields = self.__dict__{body}{post}\n"
+    namespace = {"_defaults": defaults}
+    exec(compile(source, f"<{cls.__module__} constructor>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+    return init
+
+
 class _Value:
     """Base of gibbskit's immutable values.
 
-    A subclass names its fields, in constructor order, in ``__match_args__``
-    and sets them in ``__init__`` by writing to ``self.__dict__``, since
-    ``__setattr__`` refuses every assignment.  ``==`` and ``hash`` use the
-    fields named in ``_compared`` (all of them unless the subclass sets it),
-    and ``==`` only holds between instances of the same class; ``repr``
-    shows every field.
+    A subclass names its fields, in constructor order, in ``__match_args__``.
+    One that inherits no ``__init__`` gets one compiled at class creation:
+    a parameter per field in that order, defaulting to ``_defaults[name]``
+    where that class-level mapping names it, each argument written to
+    ``self.__dict__`` as given (``__setattr__`` refuses every assignment),
+    then ``self.__post_init__()`` if the class has one.  ``__post_init__``
+    validates or coerces the stored fields, and perfbench/tracer.py wraps it
+    to count constructions.  ``Vec3``, ``Tensor3`` and ``EvalContext``
+    coerce or replace their arguments, so they write their own ``__init__``.
+    ``==`` and ``hash`` use the fields named in ``_compared`` (all of them
+    unless the subclass sets it), and ``==`` only holds between instances of
+    the same class; ``repr`` shows every field.
 
     Public construction validates; a value computed by the library from
     other gibbskit values is built without re-validation by a module-private
@@ -170,6 +190,8 @@ class _Value:
         super().__init_subclass__(**kwargs)
         compared = getattr(cls, "_compared", cls.__match_args__)
         cls._key = staticmethod(attrgetter(*compared) if compared else lambda obj: ())
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _constructor(cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -268,14 +290,6 @@ class Multivector(_Value):
     """Element of G(R^3): coefficients over {1, e1, e2, e3, e12, e13, e23, e123}."""
 
     __match_args__ = ("coeffs",)
-
-    def __init__(
-        self, coeffs: tuple[float, float, float, float, float, float, float, float]
-    ) -> None:
-        self.__dict__["coeffs"] = coeffs
-        # A method of its own, so that perfbench/tracer.py can count
-        # constructions by wrapping it.
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         c = tuple(map(float, self.coeffs))

@@ -152,24 +152,6 @@ class KinematicsReport(_Value):
         "vorticity", "divergence",
     )
 
-    def __init__(
-        self,
-        point: Vec3,
-        grad_gibbs: Tensor3,
-        grad_alt: Tensor3,
-        d: Tensor3,
-        omega: Tensor3,
-        omega_bivector: Multivector,
-        vorticity: Vec3,
-        divergence: float,
-    ) -> None:
-        self.__dict__.update(
-            zip(
-                self.__match_args__,
-                (point, grad_gibbs, grad_alt, d, omega, omega_bivector, vorticity, divergence),
-            )
-        )
-
     def to_dict(self) -> dict:
         """JSON-ready mapping: ``dyadics._json_value`` of every field but one.
 

@@ -133,13 +133,7 @@ OP_SYMBOL = {DYAD: "⊗", DOT: "·", WEDGE: "∧", CROSS: "×", STAR: "*", PLUS:
 
 
 class Token(_Value):
-    __match_args__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int) -> None:
-        fields = self.__dict__
-        fields["kind"] = kind
-        fields["text"] = text
-        fields["pos"] = pos  # byte offset into the UTF-8 source
+    __match_args__ = ("kind", "text", "pos")  # pos: byte offset into the UTF-8 source
 
 
 _Lexeme = tuple[str, str, int]  # (kind, text, pos), as a Token holds them
@@ -187,53 +181,32 @@ def tokenize(src: str) -> list[Token]:
 class Nabla(_Value):
     __match_args__ = ("pos",)
     _compared = ()
-
-    def __init__(self, pos: int = 0) -> None:
-        self.__dict__["pos"] = pos
+    _defaults = {"pos": 0}
 
 
 class VectorRef(_Value):
     __match_args__ = ("name", "pos")
     _compared = ("name",)
-
-    def __init__(self, name: str, pos: int = 0) -> None:
-        fields = self.__dict__
-        fields["name"] = name
-        fields["pos"] = pos
+    _defaults = {"pos": 0}
 
 
 class ScalarLit(_Value):
     __match_args__ = ("value", "pos")
     _compared = ("value",)
-
-    def __init__(self, value: float, pos: int = 0) -> None:
-        fields = self.__dict__
-        fields["value"] = value
-        fields["pos"] = pos
+    _defaults = {"pos": 0}
 
 
 class Unary(_Value):
-    __match_args__ = ("op", "operand", "pos")
+    __match_args__ = ("op", "operand", "pos")  # op: "transpose" | "neg"
     _compared = ("op", "operand")
-
-    def __init__(self, op: str, operand: "Expr", pos: int = 0) -> None:
-        fields = self.__dict__
-        fields["op"] = op  # "transpose" | "neg"
-        fields["operand"] = operand
-        fields["pos"] = pos
+    _defaults = {"pos": 0}
 
 
 class Binary(_Value):
+    # op: dyad | dot | wedge | cross | star | plus | minus | apply
     __match_args__ = ("op", "left", "right", "pos")
     _compared = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Expr", right: "Expr", pos: int = 0) -> None:
-        # op: dyad | dot | wedge | cross | star | plus | minus | apply
-        fields = self.__dict__
-        fields["op"] = op
-        fields["left"] = left
-        fields["right"] = right
-        fields["pos"] = pos
+    _defaults = {"pos": 0}
 
 
 Expr = Nabla | VectorRef | ScalarLit | Unary | Binary
@@ -550,7 +523,7 @@ def _jet(e: Expr, ctx: EvalContext, nested: list[int]) -> tuple[Value, list[Valu
         return rule(a, b), [p + q for p, q in zip(left, right)] if left and right else left or right
     val = evaluate(e, ctx)
     if isinstance(e, VectorRef) and e.name == FIELD_NAME:
-        return val, [_vec3(*row) for row in ctx._grad.rows]
+        return val, [_vec3(*row) for row in _grad_at(ctx, e.pos).rows]
     if isinstance(e, ScalarLit) or isinstance(e, VectorRef) and e.name in ctx.bindings:
         return val, None  # a literal or a bound vector
     if isinstance(e, Binary) and e.op == APPLY and _bound_factor(e.right, ctx) is None:
@@ -646,16 +619,8 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
 class AuditResult(_Value):
     """Which gradient layout a matrix follows for a given field and point."""
 
+    # verdict: gibbs | alternative | symmetric-ambiguous | neither
     __match_args__ = ("verdict", "max_abs_deviation_gibbs", "max_abs_deviation_alt")
-
-    def __init__(
-        self, verdict: str, max_abs_deviation_gibbs: float, max_abs_deviation_alt: float
-    ) -> None:
-        # verdict: gibbs | alternative | symmetric-ambiguous | neither
-        fields = self.__dict__
-        fields["verdict"] = verdict
-        fields["max_abs_deviation_gibbs"] = max_abs_deviation_gibbs
-        fields["max_abs_deviation_alt"] = max_abs_deviation_alt
 
     def to_dict(self) -> dict:
         return _json_value(self)

@@ -115,3 +115,39 @@ def test_holds_fails_at_the_first_false_flag_and_draws_no_later_case():
     assert checks._holds(case, 10, "detail")(random.Random(0)) == (False, 10, "detail")
     assert drawn == [0, 1, 2, 3]
     assert checks._holds(case, 3, "detail")(random.Random(0)) == (True, 3, "detail")
+
+
+# The failure details of rows that compare against fixed expectations.
+POLY_ROW = "fields: polynomial derivatives are exact"
+PARSE_ROW = "notation: parse totality and positioned errors"
+
+
+def test_a_wrong_poly_diff_fails_its_row_with_the_monomial(monkeypatch):
+    monkeypatch.setattr(fields.Poly, "diff", lambda self, axis: self)
+    result = run_row(POLY_ROW)
+    assert (result.passed, result.cases) == (False, 0)
+    assert result.detail == "monomial x^2 y^2 z^1 differentiated wrong"
+
+
+def test_a_parser_that_accepts_malformed_input_fails_its_row(monkeypatch):
+    original = notation.parse
+    monkeypatch.setattr(
+        notation, "parse", lambda src: notation.ScalarLit(0.0) if src == "@" else original(src)
+    )
+    result = run_row(PARSE_ROW)
+    assert (result.passed, result.cases) == (False, len(checks._PARSE_OK) + 3)
+    assert result.detail == "malformed input parsed: '@'"
+
+
+def test_an_error_without_a_position_fails_the_parse_row(monkeypatch):
+    original = notation.parse
+
+    def parse(src):
+        if src in checks._PARSE_FAIL:
+            raise notation.ParseError("refused", -1)
+        return original(src)
+
+    monkeypatch.setattr(notation, "parse", parse)
+    result = run_row(PARSE_ROW)
+    assert (result.passed, result.cases) == (False, len(checks._PARSE_OK))
+    assert result.detail == "error without position for 'dr · ∇⊗v'"

@@ -218,7 +218,7 @@ def test_bad_bind_exit_1():
     assert "--bind" in err
 
 
-@pytest.mark.parametrize("name", ["v", "grad", "2x", "a b"])
+@pytest.mark.parametrize("name", ["v", "grad", "2x", "a b", "@"])
 def test_bind_refuses_a_name_no_expression_can_read(name):
     # `v` is the field, `grad` an operator, `2x` two tokens and `a b` two
     # names, so a binding of any of them would be silently unused.

@@ -153,3 +153,8 @@ def test_render_matrix_shape():
 def test_json_rendering_row_major():
     t = Tensor3(((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)))
     assert t.to_lists() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+
+
+def test_str_of_a_tensor_is_its_matrix_rendering():
+    t = Tensor3(((1.0, -2.5, 0.0), (4.0, 5.0, 6.0), (7.0, 8.0, 1e-7)))
+    assert str(t) == render_matrix(t)

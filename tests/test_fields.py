@@ -385,6 +385,7 @@ OVERFLOWING = {"coeff": 1e308, "powers": [1, 0, 0]}
     "components": [[], [OVERFLOWING, OVERFLOWING, {"coeff": 1.0, "powers": [-1, 0, 0]}], []],
 })
 @example({"type": "polynomial", "components": [[{"coeff": -0.0, "powers": [0, 0, 0]}], [], []]})
+@example({"type": "polynomial", "components": [5, [], []]})
 @example({
     "type": "polynomial",
     "components": [[{"coeff": 1, "powers": [0, MAX_EXPONENT, 0]}], [], [

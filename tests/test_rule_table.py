@@ -247,3 +247,13 @@ def test_the_fallback_keeps_its_own_message():
         notation.evaluate(parse("∇(v · v)"), ctx)
     assert info.value.pos == 3
     assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_the_exact_gradient_apply_reads_g_through_grad_at(monkeypatch):
+    reads = []
+    original = notation._grad_at
+    monkeypatch.setattr(notation, "_grad_at", lambda ctx, pos: reads.append(pos) or original(ctx, pos))
+    field = PolyField((Poly((((0, 1, 0), 1.0),)), Poly((((1, 0, 0), 2.0),)), Poly(())))
+    ctx = EvalContext(field, Vec3(1.0, 2.0, 3.0))
+    assert notation.evaluate(parse("∇(v · v)"), ctx) == Vec3(8.0, 4.0, 0.0)
+    assert reads == [4, 9]  # the byte offsets of the two v
