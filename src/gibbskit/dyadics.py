@@ -16,7 +16,7 @@ coefficient object, and a record its fields in ``__match_args__`` order.
 
 from __future__ import annotations
 
-from .ga import BLADE_NAMES, Multivector, Vec3, _is_index, _new, _Value, _vec3, format_short
+from .ga import BLADE_NAMES, Multivector, Vec3, _builder, _is_index, _Value, _vec3, format_short
 
 __all__ = [
     "Tensor3",
@@ -113,11 +113,7 @@ def _json_value(value):
     return value
 
 
-def _tensor(rows: Rows) -> Tensor3:
-    # Trusted builder: rows must already be 3 tuples of 3 floats.
-    t = _new(Tensor3)
-    t.__dict__["rows"] = rows
-    return t
+_tensor = _builder(Tensor3)  # rows must already be 3 tuples of 3 floats
 
 
 def dyad(a: Vec3, b: Vec3) -> Tensor3:

@@ -18,7 +18,7 @@ import math
 from functools import cached_property
 
 from .dyadics import Tensor3, _tensor, trace, transpose
-from .ga import Vec3, _is_index, _Value, _vec3
+from .ga import Vec3, _builder, _is_index, _Value, _vec3
 
 __all__ = [
     "Poly",
@@ -151,10 +151,10 @@ class Poly(_Value):
     ``terms`` maps each exponent triple to its coefficient; no triple
     repeats, zero coefficients are dropped, and the triples are sorted, so
     equal polynomials compare equal.  The constructor validates, then
-    ``_canonical`` merges, drops and sorts; ``_trusted`` wraps terms that are
-    already canonical, and ``_with_coeffs`` reuses these monomials with new
-    coefficients.  ``_top``, the power-table sizes of the first partials, is
-    a write-once memo that takes no part in ``==``, ``hash`` or ``repr``.
+    ``_canonical`` merges, drops and sorts; ``_trusted``, compiled from the
+    constructor's fields, wraps canonical terms; ``_with_coeffs`` reuses these
+    monomials with new coefficients.  ``_top``, the power-table sizes of the
+    first partials, is a write-once memo outside ``==``, ``hash`` and ``repr``.
     """
 
     __match_args__ = ("terms",)
@@ -171,12 +171,6 @@ class Poly(_Value):
                 raise ValueError(f"monomial exponents must be at most {MAX_EXPONENT}: {powers!r}")
             checked.append((p, float(coeff)))
         self.__dict__["terms"] = _canonical(checked)
-
-    @classmethod
-    def _trusted(cls, terms: Terms) -> "Poly":
-        poly = object.__new__(cls)
-        poly.__dict__["terms"] = terms
-        return poly
 
     def _with_coeffs(self, coeffs) -> "Poly":
         """This polynomial's monomials with ``coeffs``, one per term in order.
@@ -241,6 +235,9 @@ class Poly(_Value):
         return self._with_coeffs([c * s for _, c in self.terms])
 
     __rmul__ = __mul__
+
+
+Poly._trusted = staticmethod(_builder(Poly))  # terms must already be canonical
 
 
 class PolyField(_Value):

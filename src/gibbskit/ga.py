@@ -13,9 +13,9 @@ is a pure function over immutable values.
 
 Public constructors validate and coerce what the caller passes.  A result
 whose every field is a float computed from other gibbskit values is built
-by the trusted builders ``_vec3`` and ``_mv``, which skip that work;
-scaling by a caller's scalar still goes through the constructor, because
-the scalar may be complex or a NumPy number.
+by the trusted builders ``_vec3`` and ``_mv``, which skip that work and
+come from the constructor's field list; scaling by a caller's scalar goes
+through the constructor, as the scalar may be complex or a NumPy number.
 """
 
 from __future__ import annotations
@@ -102,11 +102,21 @@ def _product_lines(rows: tuple, a, b, out: str, body: list[str], wanted=range(8)
     return slots
 
 
+def _function(head: str, lines: list[str], filename: str, namespace: dict):
+    """``def {head}:`` over ``lines``, compiled as the file ``filename`` in ``namespace``."""
+    exec(compile(f"def {head}:\n    " + "\n    ".join(lines), filename, "exec"), namespace)
+    return namespace[head.partition("(")[0]]
+
+
+def _named(fn, name: str):
+    """``fn``, its code named ``name``: pstats keys a function by file, first line and code name."""
+    fn.__code__ = fn.__code__.replace(co_name=name)
+    return fn
+
+
 def _compile(params: str, lines: list[str], result: str):
-    source = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
-    namespace = {"_vec3": _vec3}
-    exec(compile(f"def kernel({params}):\n{source}", "<gibbskit.ga kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    lines = [*lines, f"return {result}"]
+    return _function(f"kernel({params})", lines, "<gibbskit.ga kernel>", {"_vec3": _vec3})
 
 
 @cache
@@ -114,8 +124,8 @@ def _kernel(name: str):
     """``kernel(a, b)``: the coefficients of the product ``name`` of two 8-tuples."""
     a, b = [f"a{i}" for i in range(8)], [f"b{j}" for j in range(8)]
     lines = [f"{', '.join(a)} = a", f"{', '.join(b)} = b"]
-    slots = _product_lines(_TABLES[name], a, b, "c", lines)
-    return _compile("a, b", lines, f"({', '.join(s or '0.0' for s in slots)})")
+    coeffs = ", ".join(s or "0.0" for s in _product_lines(_TABLES[name], a, b, "c", lines))
+    return _named(_compile("a, b", lines, f"({coeffs})"), f"{name} kernel")
 
 
 @cache
@@ -143,22 +153,37 @@ def _frame_kernel(term: tuple):
         return _product_lines(_TABLES[name], a, b, out, lines, wanted)
 
     frame = [slots(term, i, f"t{i}", range(1, 4)) for i in range(3)]
-    sums = [" + ".join(["0.0", *(f[k] for f in frame if f[k])]) for k in (1, 2, 3)]
-    return _compile("g, a1, a2, a3", lines, f"_vec3({', '.join(sums)})")
+    sums = ", ".join(" + ".join(["0.0", *(f[k] for f in frame if f[k])]) for k in (1, 2, 3))
+    return _named(_compile("g, a1, a2, a3", lines, f"_vec3({sums})"), f"{_spelled(term)} kernel")
+
+
+def _spelled(term) -> str:
+    """``("dot", "e", ("wedge", "a", "d"))`` as ``dot(e, wedge(a, d))``."""
+    return term if isinstance(term, str) else f"{term[0]}({_spelled(term[1])}, {_spelled(term[2])})"
+
+
+def _stores(names) -> list[str]:
+    """Lines that write each argument in ``names``, as given and in order, to ``self.__dict__``."""
+    return ["fields = self.__dict__", *(f"fields[{n!r}] = {n}" for n in names)]
 
 
 def _constructor(cls):
     """``cls.__init__``, compiled from ``cls.__match_args__`` and ``cls._defaults``."""
     names, defaults = cls.__match_args__, getattr(cls, "_defaults", {})
     params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
-    body = "".join(f"\n    fields[{n!r}] = {n}" for n in names)
-    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    source = f"def __init__(self{params}):\n    fields = self.__dict__{body}{post}\n"
-    namespace = {"_defaults": defaults}
-    exec(compile(source, f"<{cls.__module__} constructor>", "exec"), namespace)
-    init = namespace["__init__"]
+    post = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    head, file = f"__init__(self{params})", f"<{cls.__module__} constructor>"
+    init = _function(head, _stores(names) + post, file, {"_defaults": defaults})
     init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
-    return init
+    return _named(init, init.__qualname__)
+
+
+def _builder(cls):
+    """``cls``'s trusted builder: ``_stores`` into ``object.__new__(cls)``, no ``__post_init__``."""
+    names, namespace = cls.__match_args__, {"_new": object.__new__, "_cls": cls}
+    lines = ["self = _new(_cls)", *_stores(names), "return self"]
+    build = _function(f"build({', '.join(names)})", lines, f"<{cls.__module__} builder>", namespace)
+    return _named(build, f"{cls.__qualname__} builder")
 
 
 class _Value:
@@ -171,17 +196,16 @@ class _Value:
     ``self.__dict__`` as given (``__setattr__`` refuses every assignment),
     then ``self.__post_init__()`` if the class has one.  ``__post_init__``
     validates or coerces the stored fields, and perfbench/tracer.py wraps it
-    to count constructions.  ``Vec3``, ``Tensor3`` and ``EvalContext``
-    coerce or replace their arguments, so they write their own ``__init__``.
+    to count constructions.  ``Vec3`` and ``Tensor3`` coerce their
+    arguments on hot public paths, so they write their own ``__init__``.
     ``==`` and ``hash`` use the fields named in ``_compared`` (all of them
     unless the subclass sets it), and ``==`` only holds between instances of
     the same class; ``repr`` shows every field.
 
     Public construction validates; a value computed by the library from
-    other gibbskit values is built without re-validation by a module-private
-    builder (``ga._vec3``, ``ga._mv``, ``dyadics._tensor``, ``Poly._trusted``),
-    which writes the already-checked fields into the ``__dict__`` of an
-    ``object.__new__`` instance.
+    other gibbskit values is built by a module-private builder (``ga._vec3``,
+    ``ga._mv``, ``dyadics._tensor``, ``Poly._trusted``), which ``_builder``
+    compiles from the same field list and which runs no ``__post_init__``.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -259,17 +283,7 @@ class Vec3(_Value):
         return _BASIS[_basis_index(i)]
 
 
-_new = object.__new__
-
-
-def _vec3(x: float, y: float, z: float) -> Vec3:
-    # Trusted builder: x, y and z must already be floats.
-    v = _new(Vec3)
-    fields = v.__dict__
-    fields["x"] = x
-    fields["y"] = y
-    fields["z"] = z
-    return v
+_vec3 = _builder(Vec3)  # x, y and z must already be floats
 
 
 def _is_index(i, allowed=(1, 2, 3)) -> bool:
@@ -338,11 +352,7 @@ class Multivector(_Value):
         return render_multivector(self)
 
 
-def _mv(coeffs: tuple[float, ...]) -> Multivector:
-    # Trusted builder: coeffs must already be a tuple of 8 floats.
-    m = _new(Multivector)
-    m.__dict__["coeffs"] = coeffs
-    return m
+_mv = _builder(Multivector)  # coeffs must already be a tuple of 8 floats
 
 
 def _mv_vec(v: Vec3) -> Multivector:

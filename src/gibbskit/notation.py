@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
 from functools import cached_property
 from operator import neg
 
@@ -399,20 +398,11 @@ class EvalContext(_Value):
     """
 
     __match_args__ = ("field", "point", "bindings", "fd_step")
+    _defaults = {"bindings": None, "fd_step": DEFAULT_FD_STEP}
 
-    def __init__(
-        self,
-        field: Field,
-        point: Vec3,
-        bindings: Mapping[str, Vec3] | None = None,
-        fd_step: float = DEFAULT_FD_STEP,
-    ) -> None:
-        _check_fd_step(fd_step)
-        fields = self.__dict__
-        fields["field"] = field
-        fields["point"] = point
-        fields["bindings"] = {} if bindings is None else bindings
-        fields["fd_step"] = fd_step
+    def __post_init__(self) -> None:
+        _check_fd_step(self.fd_step)
+        self.__dict__["bindings"] = {} if self.bindings is None else self.bindings
 
     @cached_property
     def _grad(self) -> Tensor3:

@@ -1,4 +1,11 @@
-"""The compiled GA kernels carry a file name, so profilers and tracebacks name them."""
+"""The compiled GA kernels carry a file name and a code name of their own.
+
+The file name is ``<gibbskit.ga kernel>`` for every kernel; the code name says
+which kernel it is: ``geometric kernel`` for a product, and the frame term for
+a frame sum, as in ``geometric(geometric(e, a), d) kernel``.  Profilers key a
+function by file, first line and code name, so each kernel gets its own row,
+and a traceback names the kernel it passed through.
+"""
 
 import traceback
 
@@ -20,4 +27,4 @@ def test_a_traceback_through_a_kernel_names_it():
     with pytest.raises(AttributeError) as info:
         kinematics.bidi_forward_of("not a tensor", Vec3(1.0, 2.0, 3.0))
     frames = traceback.extract_tb(info.tb)
-    assert frames[-1].filename == KERNEL_FILE and frames[-1].name == "kernel"
+    assert frames[-1].filename == KERNEL_FILE and frames[-1].name == "geometric(geometric(e, a), d) kernel"
