@@ -26,7 +26,7 @@ import sys
 
 from . import kinematics, notation
 from .dyadics import _json_value, render_matrix, transpose
-from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, load_field
+from .fields import DEFAULT_FD_STEP, FieldSpecError, PolyField, _check_fd_step, load_field
 from .ga import Vec3, format_short, render_multivector
 
 EXIT_OK = 0
@@ -81,32 +81,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(f"{self.prog}: {message}", EXIT_CONFIG)
 
 
-def __getattr__(name: str):
-    # ``checks`` is imported on first use, so that the other commands do
-    # not pay for it; ``cli.checks`` still resolves.
-    if name == "checks":
-        from . import checks
-
-        return checks
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _finite_float(raw: str, positive: bool = False) -> float:
-    """argparse type: a finite number, and > 0 when ``positive``."""
+def _finite_float(raw: str) -> float:
+    """argparse type: a finite number."""
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value) or (positive and not value > 0.0):
-        rule = "a finite number > 0" if positive else "a finite number"
-        raise argparse.ArgumentTypeError(f"must be {rule}, got {raw!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
     return value
 
 
 def _fd_step(raw: str) -> float:
-    value = _finite_float(raw, positive=True)
-    if not math.isfinite(2.0 * value):  # central differences divide by 2 * H
-        raise argparse.ArgumentTypeError(f"must be at most half the largest float, got {raw!r}")
+    """argparse type: a step that ``fields._check_fd_step`` accepts, as EvalContext does."""
+    try:
+        value = float(raw)
+        _check_fd_step(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be > 0 with 2 * H finite, got {raw!r}")
     return value
 
 
@@ -251,7 +243,7 @@ def _run_conventions(args: argparse.Namespace):
 
 
 def _run_check(args: argparse.Namespace):
-    from . import checks
+    from . import checks  # on first use, so that the other commands do not pay for it
 
     results = checks.run_all(args.seed)
     failed = sum(1 for r in results if not r.passed)

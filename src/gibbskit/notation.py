@@ -67,7 +67,7 @@ FIELD_NAME = "v"
 
 
 class NotationError(ValueError):
-    """Any lex, parse or evaluation failure; ``pos`` is a byte offset."""
+    """Any lex, parse, evaluation or render failure; ``pos`` is a byte offset."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (offset {pos})")
@@ -211,6 +211,7 @@ class Binary(_Value):
 Expr = Nabla | VectorRef | ScalarLit | Unary | Binary
 
 APPLY = "apply"  # nabla applied to a scalar subexpression: gradient
+NEG = "neg"  # unary minus
 
 _PRODUCT_OPS = (DYAD, DOT, WEDGE, CROSS, STAR)
 _ADDITIVE_OPS = (PLUS, MINUS)
@@ -283,7 +284,7 @@ class _Parser:
         if signs:
             for tok in reversed(tokens[first : first + signs]):
                 depth = self.deeper(depth, tok)
-                node = Unary("neg", node, pos=tok[2])
+                node = Unary(NEG, node, pos=tok[2])
         return node, depth
 
     def operand(self) -> tuple[Expr, int]:
@@ -311,7 +312,7 @@ class _Parser:
         while (tok := tokens[self.i])[0] == TRANSPOSE:
             self.i += 1
             depth = self.deeper(depth, tok)
-            node = Unary("transpose", node, pos=tok[2])
+            node = Unary(TRANSPOSE, node, pos=tok[2])
         return node, depth
 
     def parenthesized(self, open_tok: _Lexeme) -> tuple[Expr, int]:
@@ -345,15 +346,16 @@ def parse(src: str) -> Expr:
 
 def _wrap(node: Expr) -> str:
     text = render(node)
-    if isinstance(node, (Binary, Unary)) and not (
-        isinstance(node, Unary) and node.op == "transpose"
-    ):
+    if isinstance(node, Binary) or isinstance(node, Unary) and node.op != TRANSPOSE:
         return f"({text})"
     return text
 
 
 def render(node: Expr) -> str:
-    """Deterministic text form; reparsing it yields an equal AST."""
+    """Deterministic text form; reparsing it yields an equal AST.
+
+    An operator with no symbol, only in a hand-built tree, is a NotationError.
+    """
     if isinstance(node, Nabla):
         return "∇"
     if isinstance(node, VectorRef):
@@ -361,14 +363,17 @@ def render(node: Expr) -> str:
     if isinstance(node, ScalarLit):
         return ga.format_number(node.value)
     if isinstance(node, Unary):
-        if node.op == "neg":
+        if node.op == NEG:
             return f"-{_wrap(node.operand)}"
-        return f"{_wrap(node.operand)}†"
-    if node.op == APPLY:
+        if node.op == TRANSPOSE:
+            return f"{_wrap(node.operand)}†"
+    elif node.op == APPLY:
         inner = render(node.right)
         # "(x)" always lexes as the dyad operator.
         return f"∇( {inner})" if inner == "x" else f"∇({inner})"
-    return f"{_wrap(node.left)} {OP_SYMBOL[node.op]} {_wrap(node.right)}"
+    elif node.op in OP_SYMBOL:
+        return f"{_wrap(node.left)} {OP_SYMBOL[node.op]} {_wrap(node.right)}"
+    raise NotationError(f"no symbol for operator {node.op!r}", node.pos)
 
 
 Value = float | Vec3 | Tensor3 | Multivector
@@ -491,19 +496,20 @@ def _jet(e: Expr, ctx: EvalContext, nested: list[int]) -> tuple[Value, list[Valu
     First-order forward mode on a PolyField, raising ``evaluate``'s errors
     in its order; a nested ``∇(...)`` it cannot differentiate counts as
     constant and appends its offset to ``nested``, for the caller to refuse.
-    Every rule of ``_RULES`` is bilinear, so a product takes
-    ``∂a op b + a op ∂b`` by that rule, and ``+`` and ``-`` act on the
-    partials.  The partials of ``v`` are the rows of G.  A form of G
-    (``∇ op v``, ``d``, ``Ω``) is linear in G, so its partial along axis i
-    is the form of the Hessian slice ``grad_gibbs(f.partial(i), x)``: the
-    form evaluated with the field ``f.partial(i)``.  The same holds for
+    Every rule of ``_RULES`` is linear in each operand, so ``-`` and ``†``
+    take their rule of each partial, a product ``∂a op b + a op ∂b`` by its
+    rule, and ``+`` and ``-`` act on the partials.  The partials of ``v``
+    are the rows of G.  A form of G (``∇ op v``, ``d``, ``Ω``) is linear in
+    G, so its partial along axis i is the form of the Hessian slice
+    ``grad_gibbs(f.partial(i), x)``: the form evaluated with the field
+    ``f.partial(i)``.  The same holds for
     ``∇(c · v)``, linear in v, the one ``∇(...)`` that may nest.
     """
     if isinstance(e, Unary):
         val, d = _jet(e.operand, ctx, nested)
-        op = _unary_op(e, val)
-        return op(val), d and [op(p) for p in d]
-    if isinstance(e, Binary) and e.op in _RULES and not isinstance(e.left, Nabla):
+        rule = _rule(e, val)
+        return rule(val), d and [rule(p) for p in d]
+    if isinstance(e, Binary) and e.op != APPLY and not isinstance(e.left, Nabla):
         (a, da), (b, db) = _jet(e.left, ctx, nested), _jet(e.right, ctx, nested)
         rule = _rule(e, a, b)
         if e.op in _ADDITIVE_OPS:
@@ -530,11 +536,13 @@ def _as_mv(v: Value) -> Multivector:
 _KINDS = ("scalar", "vector", "tensor", "multivector")
 _GA_PAIRS = [(a, b) for a in ("vector", "multivector") for b in ("vector", "multivector")]
 
-# For each binary operator: the rule for each (left kind, right kind) pair it
-# accepts, and the message for every other pair.  A vector dotted with a
-# tensor is the postfactor dr · G, a tensor dotted with a vector the
-# prefactor G · dr: the side says which contraction is meant.
+# For each operator: the rule for each tuple of operand kinds it accepts,
+# (kind,) or (left kind, right kind), and the message for every other
+# tuple.  A vector dotted with a tensor is the postfactor dr · G, a tensor
+# dotted with a vector the prefactor G · dr: the side says which is meant.
 _RULES = {
+    NEG: ({(k,): neg for k in _KINDS}, "cannot negate {}"),
+    TRANSPOSE: ({("tensor",): transpose}, "transpose applies to tensors, got {}"),
     PLUS: ({(k, k): lambda a, b: a + b for k in _KINDS}, "cannot add {} and {}"),
     MINUS: ({(k, k): lambda a, b: a - b for k in _KINDS}, "cannot add {} and {}"),
     STAR: ({**{("scalar", k): lambda a, b: b * a for k in _KINDS[1:]},
@@ -549,22 +557,19 @@ _RULES = {
            ("vector", "tensor"): postfactor, ("tensor", "vector"): prefactor},
           "· cannot combine {} and {}"),
 }
+_NO_RULES = ({}, "")
 
 
-def _unary_op(e: Unary, val: Value):
-    """neg, or transpose of a tensor; for any other operand, evaluate's EvalError."""
-    if e.op == "neg":
-        return neg
-    if not isinstance(val, Tensor3):
-        raise EvalError(f"transpose applies to tensors, got {value_kind(val)}", e.pos)
-    return transpose
+def _rule(e: Unary | Binary, a: Value, b: Value | None = None):
+    """The ``_RULES`` rule of ``e.op`` for the kinds of a and b, or evaluate's EvalError.
 
-
-def _rule(e: Binary, a: Value, b: Value):
-    """The ``_RULES`` rule of ``e.op`` for the kinds of a and b, or evaluate's EvalError."""
-    rules, message = _RULES[e.op]
-    kinds = (value_kind(a), value_kind(b))
+    A Unary passes no b.
+    """
+    rules, message = _RULES.get(e.op, _NO_RULES)
+    kinds = (value_kind(a),) if b is None else (value_kind(a), value_kind(b))
     if (rule := rules.get(kinds)) is None:
+        if len(next(iter(rules), ())) != len(kinds):  # e.g. Binary neg, Unary plus
+            raise EvalError(f"unsupported operator {e.op!r}", e.pos)
         raise EvalError(message.format(*kinds), e.pos)
     return rule
 
@@ -572,11 +577,11 @@ def _rule(e: Binary, a: Value, b: Value):
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
     """Evaluate an expression against a concrete field, point and bindings.
 
-    A binary operator evaluates both sides and applies the rule that
-    ``_RULES`` holds for their kinds; README's "Expression language" shows
-    the table.  Any other pair raises EvalError rather than coercing: scalar
-    scaling must use `*`, and transpose applies to tensors only.  ``∇ op v``
-    and the unbound names ``d``, ``Omega`` and ``Ω`` are functions of G.
+    An operator, unary or binary, evaluates its operands and applies the
+    rule that ``_RULES`` holds for their kinds, the table of README's
+    "Expression language"; other kinds, or an operator with no rule for the
+    node's arity, raise EvalError rather than coercing.  ``∇ op v`` and the
+    unbound names ``d``, ``Omega`` and ``Ω`` are functions of G.
     """
     if isinstance(e, ScalarLit):
         return e.value
@@ -586,7 +591,7 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
         raise EvalError("∇ has no value on its own", e.pos)
     if isinstance(e, Unary):
         val = evaluate(e.operand, ctx)
-        return _unary_op(e, val)(val)
+        return _rule(e, val)(val)
 
     op = e.op
     if op == APPLY:
@@ -601,8 +606,6 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
 
     lhs = evaluate(e.left, ctx)
     rhs = evaluate(e.right, ctx)
-    if op not in _RULES:
-        raise EvalError(f"unsupported operator {op!r}", e.pos)
     return _rule(e, lhs, rhs)(lhs, rhs)
 
 

@@ -265,7 +265,7 @@ def test_conventions_output():
 
 def test_check_failure_maps_to_exit_4(monkeypatch):
     monkeypatch.setattr(
-        cli.checks, "run_all", lambda seed: [CheckResult("stub: broken", False, 1, "boom")]
+        "gibbskit.checks.run_all", lambda seed: [CheckResult("stub: broken", False, 1, "boom")]
     )
     code, out, _ = run_cli(["check", "--seed", "0"])
     assert code == 4
@@ -274,8 +274,7 @@ def test_check_failure_maps_to_exit_4(monkeypatch):
 
 def test_check_json_output(monkeypatch):
     monkeypatch.setattr(
-        cli.checks,
-        "run_all",
+        "gibbskit.checks.run_all",
         lambda seed: [CheckResult("stub: fine", True, 3, "ok")],
     )
     code, out, _ = run_cli(["check", "--seed", "5", "--output", "json"])

@@ -234,7 +234,7 @@ def test_cli_main_is_total(files, argv):
     argv = [files[arg[1:]] if arg.startswith("@") else arg for arg in argv]
     with pytest.MonkeyPatch.context() as mp:
         results = [CheckResult("stub: broken", False, 1, "boom")]
-        mp.setattr(cli.checks, "run_all", lambda seed: results)
+        mp.setattr("gibbskit.checks.run_all", lambda seed: results)
         code, out, err = main(argv)
     assert code in (0, 1, 2, 3, 4)
     if code == 4:
